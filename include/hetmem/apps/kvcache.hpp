@@ -120,6 +120,12 @@ class KvCacheRunner {
  private:
   KvCacheRunner(sim::SimMachine& machine, KvCacheConfig config);
 
+  /// Per-thread stride of hits_: one cache line of padding keeps
+  /// neighbouring threads' counters off each other's lines.
+  [[nodiscard]] std::size_t hits_stride() const {
+    return config_.segments + 64 / sizeof(std::size_t);
+  }
+
   sim::SimMachine* machine_;
   KvCacheConfig config_;
   std::vector<sim::BufferId> owned_;
@@ -130,6 +136,10 @@ class KvCacheRunner {
   std::unique_ptr<sim::Array<double>> log_;
   std::vector<std::unique_ptr<sim::Array<double>>> segments_;
   support::ZipfDistribution zipf_{1, 0.0};  // rebuilt over all keys in create
+  /// Kernel scratch reused by every phase: each thread's probe sum and its
+  /// per-segment hit counts (a hits_stride() slice per thread).
+  std::vector<double> partial_;
+  std::vector<std::size_t> hits_;
   unsigned phase_cursor_ = 0;
 };
 

@@ -19,6 +19,7 @@
 #include <memory>
 #include <optional>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -102,6 +103,15 @@ struct TargetValue {
   double value = 0.0;
 };
 
+/// One value for MemAttrRegistry::set_values; the fields are set_value's
+/// arguments.
+struct ValueUpdate {
+  AttrId attr = 0;
+  const topo::Object* target = nullptr;
+  std::optional<Initiator> initiator;
+  double value = 0.0;
+};
+
 struct InitiatorValue {
   support::Bitmap initiator;
   double value = 0.0;
@@ -162,7 +172,8 @@ struct RankingCacheStats {
 /// HMAT writers) are exclusive. A ranking returned while a writer runs is
 /// never torn: it reflects the registry strictly before or strictly after
 /// each individual write (multi-value updates such as a whole HMAT load are
-/// per-value atomic, not transactional).
+/// per-value atomic, not transactional; set_values is the transactional
+/// form).
 class MemAttrRegistry {
  public:
   /// Binds to a topology and registers the built-in attributes. Capacity and
@@ -187,6 +198,12 @@ class MemAttrRegistry {
   /// overwrites. For global attributes pass nullopt.
   support::Status set_value(AttrId attr, const topo::Object& target,
                             const std::optional<Initiator>& initiator, double value);
+
+  /// Stores several values as one update: validates every one first (an
+  /// invalid update stores nothing), then applies them all under one
+  /// exclusive lock with one generation bump. No reader, cached or not, sees
+  /// some of them without the others.
+  support::Status set_values(std::span<const ValueUpdate> updates);
 
   /// Reads a value (hwloc_memattr_get_value). For per-initiator attributes
   /// the lookup matches, in order: an exact stored cpuset, else the smallest
@@ -272,9 +289,9 @@ class MemAttrRegistry {
   // after the mutation that invalidated it became visible to the reader.
 
   /// Monotonic mutation counter. Bumped by register_attribute, set_value,
-  /// set_confidence, mark_all, load_values and invalidate_rankings; never
-  /// by queries. Strictly increases under concurrency (each successful
-  /// mutation observes a unique increment).
+  /// set_values (once per batch), set_confidence, mark_all, load_values and
+  /// invalidate_rankings; never by queries. Strictly increases under
+  /// concurrency (each successful mutation observes a unique increment).
   [[nodiscard]] std::uint64_t generation() const {
     return generation_.load(std::memory_order_acquire);
   }
@@ -376,6 +393,13 @@ class MemAttrRegistry {
   // the const ones); they exist so public methods composing several queries
   // take the lock exactly once (shared_mutex is not recursive).
   [[nodiscard]] bool valid_attr(AttrId attr) const { return attr < attributes_.size(); }
+  /// set_value's argument checks, and its store without the generation bump.
+  [[nodiscard]] support::Status check_value_locked(
+      AttrId attr, const topo::Object* target,
+      const std::optional<Initiator>& initiator) const;
+  void store_value_locked(AttrId attr, const topo::Object& target,
+                          const std::optional<Initiator>& initiator,
+                          double value);
   [[nodiscard]] const InitiatorValue* match_initiator(
       const std::vector<InitiatorValue>& stored, const support::Bitmap& query) const;
   [[nodiscard]] support::Result<double> value_locked(

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,6 +59,27 @@ PhaseResult resolve_phase(const SimMachine& machine,
                           const support::Bitmap& initiator,
                           std::vector<ThreadCtx*> contexts,
                           std::string name);
+
+/// Working storage resolve_phase_into reuses from call to call. Holds no
+/// state between calls that affects a result.
+struct ResolveScratch {
+  std::vector<std::uint8_t> buffer_seen;  // by buffer index; all 0 between calls
+  std::vector<unsigned> active_threads;
+  std::vector<double> remote_read_bytes;
+  std::vector<double> remote_write_bytes;
+  std::vector<double> load_multiplier;
+  std::vector<EffectiveNodePerf> eff_local;
+  std::vector<EffectiveNodePerf> eff_remote;
+};
+
+/// resolve_phase into caller-owned storage: fills every field of `result`
+/// but its name. Bit-identical to resolve_phase, and allocates nothing once
+/// `scratch` has seen the machine's buffer count and `result.nodes` its
+/// node count (ExecutionContext keeps one scratch per context).
+void resolve_phase_into(const SimMachine& machine,
+                        const support::Bitmap& initiator,
+                        std::span<ThreadCtx* const> contexts,
+                        ResolveScratch& scratch, PhaseResult& result);
 
 /// How per-buffer traffic reaches epoch consumers (docs/PERF.md):
 ///  - kRings (default): workers publish touched-buffer records into
@@ -157,6 +179,8 @@ class ExecutionContext {
   SimMachine* machine_;
   support::Bitmap initiator_;
   std::vector<std::unique_ptr<ThreadCtx>> contexts_;
+  std::vector<ThreadCtx*> raw_contexts_;  // contexts_ as resolver input
+  ResolveScratch resolve_scratch_;
   std::unique_ptr<support::ThreadPool> pool_;
   double clock_ns_ = 0.0;
   std::vector<PhaseResult> history_;

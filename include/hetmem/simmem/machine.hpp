@@ -53,6 +53,14 @@ struct BufferInfo {
   bool freed = false;
 };
 
+/// Where a buffer lives and what it costs there: BufferInfo without the
+/// label, so reading it copies no string.
+struct BufferResidency {
+  unsigned node = 0;
+  std::uint64_t declared_bytes = 0;
+  bool freed = true;
+};
+
 /// Per-node error/health telemetry snapshot (docs/RESILIENCE.md "Health &
 /// evacuation"). Counters are cumulative since machine construction; the
 /// HealthMonitor differences consecutive snapshots to see per-poll deltas.
@@ -118,6 +126,10 @@ class SimMachine {
   /// wants the error.
   [[nodiscard]] BufferInfo info(BufferId id) const;
   [[nodiscard]] support::Result<BufferInfo> info_checked(BufferId id) const;
+  /// info()'s node, declared size and freed flag, allocation-free (the
+  /// per-phase resolver reads it for every touched buffer). An invalid id
+  /// reads as freed.
+  [[nodiscard]] BufferResidency residency(BufferId id) const;
 
   /// Backing storage; nullptr for invalid ids and freed buffers (survives
   /// release builds — callers must handle it, sim::Array does). The pointer

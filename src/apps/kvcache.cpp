@@ -112,6 +112,8 @@ Result<std::unique_ptr<KvCacheRunner>> KvCacheRunner::create(
   }
 
   runner->zipf_ = support::ZipfDistribution(total_keys, cfg.zipf_s);
+  runner->partial_.assign(cfg.threads, 0.0);
+  runner->hits_.assign(cfg.threads * runner->hits_stride(), 0);
   return runner;
 }
 
@@ -134,13 +136,12 @@ Result<KvCacheResult> KvCacheRunner::run_phases(unsigned count) {
       static_cast<double>(config_.backing_lookups_per_thread);
 
   KvCacheResult result;
-  std::vector<double> partial(config_.threads, 0.0);
   const double clock_before = exec_->clock_ns();
 
   for (unsigned local = 0; local < count; ++local) {
     const unsigned phase = phase_cursor_;
     const unsigned hot = hot_segment(phase);
-    std::fill(partial.begin(), partial.end(), 0.0);
+    std::fill(partial_.begin(), partial_.end(), 0.0);
     const double phase_clock_before = exec_->clock_ns();
     exec_->run_phase(
         "kv.lookup", config_.threads,
@@ -153,7 +154,8 @@ Result<KvCacheResult> KvCacheRunner::run_phases(unsigned count) {
                                   (static_cast<std::uint64_t>(phase) << 32) ^
                                   thread);
           support::Xoshiro256 rng(mix.next());
-          std::vector<std::size_t> hits(config_.segments, 0);
+          std::size_t* hits = hits_.data() + thread * hits_stride();
+          std::fill(hits, hits + config_.segments, std::size_t{0});
           double acc = 0.0;
           for (std::size_t probe = 0;
                probe < config_.backing_lookups_per_thread; ++probe) {
@@ -168,7 +170,7 @@ Result<KvCacheResult> KvCacheRunner::run_phases(unsigned count) {
             acc += segments_[segment]->span()[slot % keys_per_segment];
             ++hits[segment];
           }
-          partial[thread] = acc;
+          partial_[thread] = acc;
           // Declared-scale traffic: directory probes (LLC-resident, ~2%
           // misses), value gathers split by observed segment mix, streamed
           // log appends, and hash/probe compute.
@@ -184,7 +186,7 @@ Result<KvCacheResult> KvCacheRunner::run_phases(unsigned count) {
               ctx, config_.log_bytes_per_phase / config_.threads);
           ctx.add_compute_ns(probes_per_thread * config_.compute_ns_per_lookup);
         });
-    for (double value : partial) result.checksum += value;
+    for (double value : partial_) result.checksum += value;
     // Clock delta, not PhaseResult::sim_ns: an attached policy charges its
     // migration cost between phases, and recovery gates must see the run
     // paying for its own management.

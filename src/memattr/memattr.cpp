@@ -90,45 +90,77 @@ const AttrInfo& MemAttrRegistry::info(AttrId attr) const {
   return attributes_[attr];
 }
 
-Status MemAttrRegistry::set_value(AttrId attr, const topo::Object& target,
-                                  const std::optional<Initiator>& initiator,
-                                  double value) {
-  std::unique_lock lock(mutex_);
+Status MemAttrRegistry::check_value_locked(
+    AttrId attr, const topo::Object* target,
+    const std::optional<Initiator>& initiator) const {
   if (!valid_attr(attr)) {
     return make_error(Errc::kInvalidArgument, "unknown attribute id");
   }
-  if (target.type() != topo::ObjType::kNUMANode) {
+  if (target == nullptr || target->type() != topo::ObjType::kNUMANode) {
     return make_error(Errc::kInvalidArgument, "target is not a NUMA node");
   }
+  if (attributes_[attr].need_initiator && !initiator.has_value()) {
+    return make_error(Errc::kInvalidArgument,
+                      "attribute '" + attributes_[attr].name +
+                          "' requires an initiator");
+  }
+  if (!attributes_[attr].need_initiator && initiator.has_value()) {
+    return make_error(Errc::kInvalidArgument,
+                      "attribute '" + attributes_[attr].name +
+                          "' does not take an initiator");
+  }
+  return {};
+}
+
+void MemAttrRegistry::store_value_locked(
+    AttrId attr, const topo::Object& target,
+    const std::optional<Initiator>& initiator, double value) {
   const unsigned idx = target.logical_index();
   Stored& stored = values_[attr];
   if (attributes_[attr].need_initiator) {
-    if (!initiator.has_value()) {
-      return make_error(Errc::kInvalidArgument,
-                        "attribute '" + attributes_[attr].name +
-                            "' requires an initiator");
-    }
     auto& list = stored.per_initiator[idx];
     for (InitiatorValue& existing : list) {
       if (existing.initiator == initiator->cpuset()) {
         existing.value = value;
         // A fresh value supersedes any earlier noisy/stale verdict.
         existing.confidence = Confidence::kTrusted;
-        bump_generation_locked();
-        return {};
+        return;
       }
     }
     list.push_back(InitiatorValue{initiator->cpuset(), value, Confidence::kTrusted});
-    bump_generation_locked();
-    return {};
-  }
-  if (initiator.has_value()) {
-    return make_error(Errc::kInvalidArgument,
-                      "attribute '" + attributes_[attr].name +
-                          "' does not take an initiator");
+    return;
   }
   stored.global_values[idx] = value;
   stored.global_confidence[idx] = Confidence::kTrusted;
+}
+
+Status MemAttrRegistry::set_value(AttrId attr, const topo::Object& target,
+                                  const std::optional<Initiator>& initiator,
+                                  double value) {
+  std::unique_lock lock(mutex_);
+  if (Status checked = check_value_locked(attr, &target, initiator);
+      !checked.ok()) {
+    return checked;
+  }
+  store_value_locked(attr, target, initiator, value);
+  bump_generation_locked();
+  return {};
+}
+
+Status MemAttrRegistry::set_values(std::span<const ValueUpdate> updates) {
+  std::unique_lock lock(mutex_);
+  for (const ValueUpdate& update : updates) {
+    if (Status checked =
+            check_value_locked(update.attr, update.target, update.initiator);
+        !checked.ok()) {
+      return checked;
+    }
+  }
+  if (updates.empty()) return {};
+  for (const ValueUpdate& update : updates) {
+    store_value_locked(update.attr, *update.target, update.initiator,
+                       update.value);
+  }
   bump_generation_locked();
   return {};
 }

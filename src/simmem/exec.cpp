@@ -3,28 +3,43 @@
 #include <algorithm>
 #include <cassert>
 #include <thread>
-#include <unordered_set>
 
 namespace hetmem::sim {
 
 PhaseResult resolve_phase(const SimMachine& machine,
                           const support::Bitmap& initiator,
                           std::vector<ThreadCtx*> contexts, std::string name) {
-  const std::size_t node_count = machine.topology().numa_nodes().size();
+  ResolveScratch scratch;
   PhaseResult result;
   result.name = std::move(name);
-  result.nodes.resize(node_count);
+  resolve_phase_into(machine, initiator, contexts, scratch, result);
+  return result;
+}
+
+void resolve_phase_into(const SimMachine& machine,
+                        const support::Bitmap& initiator,
+                        std::span<ThreadCtx* const> contexts,
+                        ResolveScratch& scratch, PhaseResult& result) {
+  const std::size_t node_count = machine.topology().numa_nodes().size();
+  result.nodes.assign(node_count, NodePhaseStats{});
 
   // Per-node working set: unique touched buffers, grouped by current node.
-  std::unordered_set<std::uint32_t> touched;
+  // Integer sums, so the visiting order does not matter.
+  std::vector<std::uint8_t>& seen = scratch.buffer_seen;
   for (const ThreadCtx* ctx : contexts) {
-    for (std::uint32_t index : ctx->touched_buffers()) touched.insert(index);
-  }
-  for (std::uint32_t index : touched) {
-    const BufferInfo& info = machine.info(BufferId{index});
-    if (!info.freed) {
-      result.nodes[info.node].working_set_bytes += info.declared_bytes;
+    for (std::uint32_t index : ctx->touched_buffers()) {
+      if (seen.size() <= index) seen.resize(index + 1, 0);
+      if (seen[index] != 0) continue;
+      seen[index] = 1;
+      const BufferResidency residency = machine.residency(BufferId{index});
+      if (!residency.freed) {
+        result.nodes[residency.node].working_set_bytes +=
+            residency.declared_bytes;
+      }
     }
+  }
+  for (const ThreadCtx* ctx : contexts) {
+    for (std::uint32_t index : ctx->touched_buffers()) seen[index] = 0;
   }
 
   // Whether a given worker is local to a node: its own binding when set
@@ -39,9 +54,12 @@ PhaseResult resolve_phase(const SimMachine& machine,
 
   // Aggregate traffic (split local/remote per node) and count active
   // threads per node.
-  std::vector<unsigned> active_threads(node_count, 0);
-  std::vector<double> remote_read_bytes(node_count, 0.0);
-  std::vector<double> remote_write_bytes(node_count, 0.0);
+  std::vector<unsigned>& active_threads = scratch.active_threads;
+  std::vector<double>& remote_read_bytes = scratch.remote_read_bytes;
+  std::vector<double>& remote_write_bytes = scratch.remote_write_bytes;
+  active_threads.assign(node_count, 0);
+  remote_read_bytes.assign(node_count, 0.0);
+  remote_write_bytes.assign(node_count, 0.0);
   for (const ThreadCtx* ctx : contexts) {
     const auto& per_node = ctx->node_traffic();
     for (std::size_t n = 0; n < node_count; ++n) {
@@ -59,8 +77,10 @@ PhaseResult resolve_phase(const SimMachine& machine,
   }
 
   // Effective node constants for this phase, both locality classes.
-  std::vector<EffectiveNodePerf> eff_local(node_count);
-  std::vector<EffectiveNodePerf> eff_remote(node_count);
+  std::vector<EffectiveNodePerf>& eff_local = scratch.eff_local;
+  std::vector<EffectiveNodePerf>& eff_remote = scratch.eff_remote;
+  eff_local.resize(node_count);
+  eff_remote.resize(node_count);
   for (std::size_t n = 0; n < node_count; ++n) {
     const std::uint64_t ws = result.nodes[n].working_set_bytes;
     eff_local[n] =
@@ -93,7 +113,8 @@ PhaseResult resolve_phase(const SimMachine& machine,
   };
 
   // Latency per node with a load multiplier applied to both classes.
-  std::vector<double> load_multiplier(node_count, 1.0);
+  std::vector<double>& load_multiplier = scratch.load_multiplier;
+  load_multiplier.assign(node_count, 1.0);
   auto thread_time = [&](const ThreadCtx* ctx) {
     double t = ctx->compute_ns();
     const auto& per_node = ctx->node_traffic();
@@ -160,7 +181,6 @@ PhaseResult resolve_phase(const SimMachine& machine,
   result.latency_time_ns_max = lat_max;
   result.compute_ns_max = compute_max;
   result.sim_ns = std::max(bw_max, lat_max);
-  return result;
 }
 
 ExecutionContext::ExecutionContext(SimMachine& machine, support::Bitmap initiator,
@@ -169,10 +189,12 @@ ExecutionContext::ExecutionContext(SimMachine& machine, support::Bitmap initiato
   assert(thread_count >= 1);
   const std::size_t node_count = machine.topology().numa_nodes().size();
   contexts_.reserve(thread_count);
+  raw_contexts_.reserve(thread_count);
   rings_.reserve(thread_count);
   latest_.resize(thread_count);
   for (unsigned i = 0; i < thread_count; ++i) {
     contexts_.push_back(std::make_unique<ThreadCtx>(node_count));
+    raw_contexts_.push_back(contexts_.back().get());
     rings_.push_back(std::make_unique<TelemetryRing>());
   }
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
@@ -236,33 +258,29 @@ const PhaseResult& ExecutionContext::run_phase(std::string name, std::size_t ite
         }
       });
 
-  std::vector<ThreadCtx*> raw;
-  raw.reserve(contexts_.size());
-  for (auto& ctx : contexts_) raw.push_back(ctx.get());
-  history_.push_back(resolve_phase(*machine_, initiator_, std::move(raw),
-                                   std::move(name)));
-  clock_ns_ += history_.back().sim_ns;
+  const std::size_t resolved = history_.size();
+  PhaseResult& phase = history_.emplace_back();
+  phase.name = std::move(name);
+  resolve_phase_into(*machine_, initiator_, raw_contexts_, resolve_scratch_,
+                     phase);
+  clock_ns_ += phase.sim_ns;
   // Fold the phase's traffic into the machine's power telemetry before the
   // observer runs, so an epoch hook firing from the observer sees draw that
   // already includes this phase (docs/POWER.md).
-  {
-    const PhaseResult& phase = history_.back();
-    if (phase.sim_ns > 0.0) {
-      node_bytes_scratch_.resize(phase.nodes.size() * 2);
-      std::uint64_t* reads = node_bytes_scratch_.data();
-      std::uint64_t* writes = reads + phase.nodes.size();
-      for (std::size_t n = 0; n < phase.nodes.size(); ++n) {
-        reads[n] = static_cast<std::uint64_t>(phase.nodes[n].read_bytes);
-        writes[n] = static_cast<std::uint64_t>(phase.nodes[n].write_bytes);
-      }
-      machine_->record_node_traffic_batch(reads, writes, phase.nodes.size(),
-                                          phase.sim_ns);
+  if (phase.sim_ns > 0.0) {
+    node_bytes_scratch_.resize(phase.nodes.size() * 2);
+    std::uint64_t* reads = node_bytes_scratch_.data();
+    std::uint64_t* writes = reads + phase.nodes.size();
+    for (std::size_t n = 0; n < phase.nodes.size(); ++n) {
+      reads[n] = static_cast<std::uint64_t>(phase.nodes[n].read_bytes);
+      writes[n] = static_cast<std::uint64_t>(phase.nodes[n].write_bytes);
     }
+    machine_->record_node_traffic_batch(reads, writes, phase.nodes.size(),
+                                        phase.sim_ns);
   }
   // The observer runs after the clock advance so it sees a consistent view;
   // it may migrate buffers and charge_overhead_ns(), but must not recurse
   // into run_phase. Index-based access: the observer must not grow history_.
-  const std::size_t resolved = history_.size() - 1;
   if (phase_observer_) phase_observer_(history_[resolved]);
   return history_[resolved];
 }

@@ -255,6 +255,14 @@ BufferInfo SimMachine::info(BufferId id) const {
   return snapshot;
 }
 
+BufferResidency SimMachine::residency(BufferId id) const {
+  const Slot* slot = find_slot(id);
+  if (slot == nullptr) return {};
+  return BufferResidency{
+      slot->node.load(std::memory_order_relaxed), slot->declared_bytes,
+      slot->state.load(std::memory_order_acquire) == SlotState::kFreed};
+}
+
 Result<BufferInfo> SimMachine::info_checked(BufferId id) const {
   if (find_slot(id) == nullptr) {
     return make_error(Errc::kInvalidArgument, "invalid buffer id");

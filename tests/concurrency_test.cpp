@@ -466,11 +466,11 @@ TEST(InterleavingFuzz, DifferentSeedsDiverge) {
 // --- ranking cache: readers vs an invalidating writer (docs/PERF.md) ---
 
 // The writer rewrites every node's Bandwidth value to base(node) * g for
-// generation g; readers rank through the *cache*. Two failure modes are
-// hunted here: a torn snapshot (values from two different g in one ranking)
-// and stale-after-publish (a reader observing registry generation G must
-// never be served a snapshot older than G — the acquire on generation()
-// orders the subsequent cache lookup).
+// generation g, all nodes in one set_values call; readers rank through the
+// *cache*. Two failure modes are hunted here: a torn snapshot (values from
+// two different g in one ranking) and stale-after-publish (a reader
+// observing registry generation G must never be served a snapshot older
+// than G — the acquire on generation() orders the subsequent cache lookup).
 TEST(RankingCacheConcurrency, CachedReadersNeverSeeTornOrStaleRankings) {
   topo::Topology topology = topo::xeon_clx_1lm();
   attr::MemAttrRegistry registry(topology);
@@ -488,13 +488,12 @@ TEST(RankingCacheConcurrency, CachedReadersNeverSeeTornOrStaleRankings) {
 
   std::atomic<bool> writer_done{false};
   std::thread writer([&] {
+    std::vector<attr::ValueUpdate> round(nodes.size());
     for (unsigned g = 2; g <= kGenerations; ++g) {
       for (unsigned n = 0; n < nodes.size(); ++n) {
-        ASSERT_TRUE(registry
-                        .set_value(attr::kBandwidth, *nodes[n], initiator,
-                                   base(n) * g)
-                        .ok());
+        round[n] = {attr::kBandwidth, nodes[n], initiator, base(n) * g};
       }
+      ASSERT_TRUE(registry.set_values(round).ok());
       if (g % 16 == 0) registry.invalidate_rankings();
     }
     writer_done.store(true, std::memory_order_release);

@@ -112,6 +112,33 @@ TEST_F(MemAttrTest, SetValueOverwritesSameInitiator) {
   EXPECT_EQ(registry_.initiators(kLatency, node(0)).size(), 1u);
 }
 
+TEST_F(MemAttrTest, SetValuesStoresAllWithOneGenerationBump) {
+  const std::uint64_t before = registry_.generation();
+  const ValueUpdate updates[] = {
+      {kLatency, &node(0), snc0(), 90.0},
+      {kLatency, &node(1), snc0(), 150.0},
+      {kCapacity, &node(0), std::nullopt, 4.0 * kGiB},
+  };
+  ASSERT_TRUE(registry_.set_values(updates).ok());
+  EXPECT_EQ(registry_.generation(), before + 1);
+  EXPECT_EQ(*registry_.value(kLatency, node(0), snc0()), 90.0);
+  EXPECT_EQ(*registry_.value(kLatency, node(1), snc0()), 150.0);
+  EXPECT_EQ(*registry_.value(kCapacity, node(0), std::nullopt), 4.0 * kGiB);
+}
+
+TEST_F(MemAttrTest, SetValuesWithAnInvalidUpdateStoresNothing) {
+  const std::uint64_t before = registry_.generation();
+  const ValueUpdate updates[] = {
+      {kLatency, &node(0), snc0(), 90.0},
+      {kBandwidth, &node(1), std::nullopt, 1.0},  // needs an initiator
+  };
+  EXPECT_FALSE(registry_.set_values(updates).ok());
+  const ValueUpdate null_target[] = {{kLatency, nullptr, snc0(), 90.0}};
+  EXPECT_FALSE(registry_.set_values(null_target).ok());
+  EXPECT_EQ(registry_.generation(), before);
+  EXPECT_FALSE(registry_.value(kLatency, node(0), snc0()).ok());
+}
+
 TEST_F(MemAttrTest, ValueMissingIsNotFound) {
   auto value = registry_.value(kLatency, node(0), snc0());
   ASSERT_FALSE(value.ok());

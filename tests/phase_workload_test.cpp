@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -43,6 +44,22 @@ apps::KvCacheConfig small_kvcache() {
   config.backing_lookups_per_thread = 512;
   config.phases = 24;
   config.shift_every_phases = 6;
+  return config;
+}
+
+/// perfbench kv_rotation's kernel shape: 128 segments x 512 keys (65,536
+/// Zipf ranks) on two threads at s = 1.0, rotating every 4 phases.
+apps::KvCacheConfig rotation_shape_kvcache() {
+  apps::KvCacheConfig config;
+  config.declared_value_bytes = 128 * 256 * kMiB;
+  config.segments = 128;
+  config.declared_log_bytes = 128 * kMiB;
+  config.backing_keys_per_segment = 512;
+  config.threads = 2;
+  config.backing_lookups_per_thread = 2048;
+  config.shift_every_phases = 4;
+  config.zipf_s = 1.0;
+  config.phases = 16;
   return config;
 }
 
@@ -121,6 +138,32 @@ TEST(KvCacheTest, RotationScheduleAndResultShape) {
   EXPECT_GT(result->lookups_per_second, 0.0);
   EXPECT_TRUE(std::isfinite(result->checksum));
   EXPECT_NE(result->checksum, 0.0);
+}
+
+TEST(KvCacheTest, RotationShapeRunMatchesRecordedValues) {
+  // Every key draw feeds the checksum, and the per-segment hit mix feeds the
+  // traffic behind each phase time, so a sampler or kernel change that
+  // alters any draw moves these bits. The values were recorded with a
+  // search over the whole CDF, so they also hold the guide-table search to
+  // the same draws.
+  KvBed bed(rotation_shape_kvcache(), /*squeeze_fast=*/false);
+  ASSERT_TRUE(bed.ok);
+  auto result = bed.runner->run();
+  ASSERT_TRUE(result.ok()) << result.error().to_string();
+  EXPECT_EQ(result->checksum, 0x1.22438p+19);
+  const double expected_phase_ns[] = {
+      0x1.c97724e505057p+29, 0x1.c9a5259f56b95p+29, 0x1.c9a5259f56b94p+29,
+      0x1.c8eb08c0a3eb8p+29, 0x1.c97724e505058p+29, 0x1.c9a5259f56b98p+29,
+      0x1.c948cb6f47698p+29, 0x1.c91a17dbff9p+29,   0x1.c97724e50505p+29,
+      0x1.c9a5259f56b9p+29,  0x1.c9d2cef8321fp+29,  0x1.c91a17dbff9p+29,
+      0x1.c97724e50505p+29,  0x1.c9a5259f56b9p+29,  0x1.c97724e50505p+29,
+      0x1.c9a5259f56b9p+29,
+  };
+  ASSERT_EQ(result->phase_ns.size(), std::size(expected_phase_ns));
+  for (std::size_t phase = 0; phase < result->phase_ns.size(); ++phase) {
+    EXPECT_EQ(result->phase_ns[phase], expected_phase_ns[phase])
+        << "phase " << phase;
+  }
 }
 
 TEST(KvCacheTest, ChecksumIsPlacementIndependentUnderPolicyMigration) {

@@ -3,10 +3,35 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <string>
+
 #include "hetmem/simmem/array.hpp"
 #include "hetmem/support/units.hpp"
 #include "hetmem/topo/builder.hpp"
 #include "hetmem/topo/presets.hpp"
+
+// Counts every global operator new in this test binary, so a test can show
+// that a call allocates nothing. The array forms forward to these. The
+// deletes stay out of line: inlined next to a `new`, GCC would flag the
+// malloc/free pair as a new/free mismatch.
+namespace {
+std::atomic<std::size_t> g_heap_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* block) noexcept {
+  std::free(block);
+}
+[[gnu::noinline]] void operator delete(void* block, std::size_t) noexcept {
+  std::free(block);
+}
 
 namespace hetmem::sim {
 namespace {
@@ -311,6 +336,63 @@ TEST(LoadedLatency, HighUtilizationInflatesLatency) {
       machine, machine.topology().complete_cpuset(), {&quiet}, "idle");
 
   EXPECT_GT(loaded.latency_time_ns_max, idle.latency_time_ns_max * 1.5);
+}
+
+// --- steady-state resolution ---
+
+TEST(ResolvePhaseInto, ReusedScratchIsBitIdenticalAndAllocationFree) {
+  // kv_rotation's resolver load: ~130 touched buffers on two threads, with
+  // labels too long for the small-string buffer and overlapping touch sets.
+  SimMachine machine(topo::xeon_clx_1lm());
+  const unsigned nodes =
+      static_cast<unsigned>(machine.topology().numa_nodes().size());
+  std::vector<ThreadCtx> threads(2, ThreadCtx(nodes));
+  for (unsigned i = 0; i < 130; ++i) {
+    auto buffer = machine.allocate(kMiB, i % nodes,
+                                   "resolver.buffer." + std::to_string(i), 64);
+    ASSERT_TRUE(buffer.ok());
+    for (unsigned t = 0; t < threads.size(); ++t) {
+      if (i % 3 == t) continue;
+      threads[t].touch(*buffer);
+      threads[t].record_rand_read(i % nodes, *buffer, 100.0 * (i + 1), 0.5);
+      threads[t].record_seq_write(i % nodes, *buffer, 1e5 * (t + 1), 1.0);
+    }
+  }
+  threads[1].add_compute_ns(2e5);
+  std::vector<ThreadCtx*> contexts = {&threads[0], &threads[1]};
+  const Bitmap initiator = machine.topology().numa_node(0)->cpuset();
+  const std::size_t before_pure = g_heap_allocations.load();
+  const PhaseResult expected =
+      resolve_phase(machine, initiator, contexts, "expected");
+  EXPECT_GT(g_heap_allocations.load() - before_pure, 0u)
+      << "a fresh scratch allocates, so the counter must see it";
+
+  ResolveScratch scratch;
+  PhaseResult result;
+  resolve_phase_into(machine, initiator, contexts, scratch, result);
+  const std::size_t before = g_heap_allocations.load();
+  for (int call = 0; call < 10; ++call) {
+    resolve_phase_into(machine, initiator, contexts, scratch, result);
+  }
+  EXPECT_EQ(g_heap_allocations.load() - before, 0u);
+
+  EXPECT_EQ(result.sim_ns, expected.sim_ns);
+  EXPECT_EQ(result.compute_ns_max, expected.compute_ns_max);
+  EXPECT_EQ(result.latency_time_ns_max, expected.latency_time_ns_max);
+  EXPECT_EQ(result.bandwidth_time_ns_max, expected.bandwidth_time_ns_max);
+  ASSERT_EQ(result.nodes.size(), expected.nodes.size());
+  for (std::size_t n = 0; n < nodes; ++n) {
+    const NodePhaseStats& got = result.nodes[n];
+    const NodePhaseStats& want = expected.nodes[n];
+    EXPECT_EQ(got.read_bytes, want.read_bytes) << "node " << n;
+    EXPECT_EQ(got.write_bytes, want.write_bytes) << "node " << n;
+    EXPECT_EQ(got.rand_accesses, want.rand_accesses) << "node " << n;
+    EXPECT_EQ(got.bandwidth_time_ns, want.bandwidth_time_ns) << "node " << n;
+    EXPECT_EQ(got.latency_stall_ns, want.latency_stall_ns) << "node " << n;
+    EXPECT_EQ(got.utilization, want.utilization) << "node " << n;
+    EXPECT_EQ(got.working_set_bytes, want.working_set_bytes) << "node " << n;
+    EXPECT_GT(got.working_set_bytes, 0u) << "node " << n;
+  }
 }
 
 // --- ExecutionContext end to end ---

@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <vector>
 
 #include "hetmem/support/rng.hpp"
 #include "hetmem/support/str.hpp"
 #include "hetmem/support/table.hpp"
 #include "hetmem/support/thread_pool.hpp"
+#include "hetmem/support/zipf.hpp"
 
 namespace hetmem::support {
 namespace {
@@ -84,6 +90,123 @@ TEST(Rng, NextDoubleInUnitInterval) {
     sum += x;
   }
   EXPECT_NEAR(sum / 10000.0, 0.5, 0.02);  // rough uniformity
+}
+
+// --- zipf ---
+
+// Every (ranks, s) pair the sampler is checked on: tiny universes, both sides
+// of a power of two (65536 is kv_rotation's), a prime, and skews from
+// uniform to a head that absorbs nearly all mass (long runs of equal CDF
+// values in the tail).
+constexpr std::size_t kZipfRanks[] = {1, 2, 3, 1000, 65536, 65537, 100003};
+constexpr double kZipfSkews[] = {0.0, 0.5, 1.0, 1.5, 3.0};
+constexpr std::uint64_t kDrawLimit = std::uint64_t{1}
+                                     << ZipfDistribution::kDrawBits;
+
+/// The full-range search the guide table replaces: the first rank whose CDF
+/// value exceeds u = bits * 2^-53, clamped to the last rank. The CDF is
+/// rebuilt from mass_below, which returns the stored entries exactly.
+class FullCdfSearch {
+ public:
+  explicit FullCdfSearch(const ZipfDistribution& zipf) : cdf_(zipf.ranks()) {
+    for (std::size_t rank = 0; rank < cdf_.size(); ++rank) {
+      cdf_[rank] = zipf.mass_below(rank + 1);
+    }
+  }
+  [[nodiscard]] std::size_t rank(std::uint64_t bits) const {
+    const double u = static_cast<double>(bits) * 0x1.0p-53;
+    const auto it = std::upper_bound(cdf_.begin(), cdf_.end(), u);
+    return std::min(static_cast<std::size_t>(it - cdf_.begin()),
+                    cdf_.size() - 1);
+  }
+  [[nodiscard]] const std::vector<double>& cdf() const { return cdf_; }
+
+ private:
+  std::vector<double> cdf_;
+};
+
+TEST(Zipf, SampleMatchesFullCdfSearchDrawForDraw) {
+  for (std::size_t ranks : kZipfRanks) {
+    for (double s : kZipfSkews) {
+      const ZipfDistribution zipf(ranks, s);
+      const FullCdfSearch reference(zipf);
+      ASSERT_EQ(zipf.ranks(), ranks);
+      Xoshiro256 rng(ranks * 31 + static_cast<std::uint64_t>(s * 8));
+      Xoshiro256 mirror = rng;
+      for (int draw = 0; draw < 20000; ++draw) {
+        const std::size_t expected = reference.rank(mirror.next() >> 11);
+        ASSERT_EQ(zipf.sample(rng), expected)
+            << "ranks " << ranks << " s " << s << " draw " << draw;
+      }
+    }
+  }
+}
+
+TEST(Zipf, BoundaryDrawsMatchFullCdfSearch) {
+  for (std::size_t ranks : kZipfRanks) {
+    for (double s : kZipfSkews) {
+      const ZipfDistribution zipf(ranks, s);
+      const FullCdfSearch reference(zipf);
+      std::size_t mismatches = 0;
+      std::uint64_t first_mismatch = 0;
+      auto check = [&](std::uint64_t bits) {
+        if (bits >= kDrawLimit) return;
+        if (zipf.sample_bits(bits) != reference.rank(bits) &&
+            mismatches++ == 0) {
+          first_mismatch = bits;
+        }
+      };
+      check(0);
+      check(kDrawLimit - 1);  // u = 1 - 2^-53
+      // Bucket edges: one bucket per rank rounded up to a power of two, a
+      // bucket being the top bits of the 53-bit draw.
+      const int bucket_bits = std::bit_width(ranks - 1);
+      const int shift = ZipfDistribution::kDrawBits - bucket_bits;
+      const std::uint64_t buckets = std::uint64_t{1} << bucket_bits;
+      for (std::uint64_t bucket = 1; bucket < buckets; ++bucket) {
+        const std::uint64_t edge = bucket << shift;
+        check(edge - 1);
+        check(edge);
+        check(edge + 1);
+      }
+      // Draws equal to a CDF entry (u == cdf[r] must go to a later rank)
+      // and their neighbours.
+      for (double value : reference.cdf()) {
+        const auto bits = static_cast<std::uint64_t>(std::ldexp(value, 53));
+        if (bits > 0) check(bits - 1);
+        check(bits);
+        check(bits + 1);
+      }
+      EXPECT_EQ(mismatches, 0u) << "ranks " << ranks << " s " << s
+                                << " first at bits " << first_mismatch;
+    }
+  }
+}
+
+TEST(Zipf, EachDrawAdvancesTheGeneratorByOneNext) {
+  for (std::size_t ranks : kZipfRanks) {
+    const ZipfDistribution zipf(ranks, 1.0);
+    Xoshiro256 sampled(ranks);
+    Xoshiro256 stepped(ranks);
+    for (int draw = 0; draw < 1000; ++draw) {
+      (void)zipf.sample(sampled);
+      (void)stepped.next();
+    }
+    EXPECT_EQ(sampled.state(), stepped.state()) << "ranks " << ranks;
+  }
+}
+
+TEST(Zipf, MassBelowIsTheCdf) {
+  const ZipfDistribution uniform(4, 0.0);
+  EXPECT_EQ(uniform.mass_below(0), 0.0);
+  EXPECT_EQ(uniform.mass_below(1), 0.25);
+  EXPECT_EQ(uniform.mass_below(2), 0.5);
+  EXPECT_EQ(uniform.mass_below(4), 1.0);
+  EXPECT_EQ(uniform.mass_below(9), 1.0);
+  const ZipfDistribution skewed(65536, 1.0);
+  EXPECT_EQ(skewed.mass_below(65536), 1.0);
+  EXPECT_GT(skewed.mass_below(1), 0.08);  // 1 / H(65536) ~ 0.085
+  EXPECT_LT(skewed.mass_below(1), 0.09);
 }
 
 // --- table ---
