@@ -30,8 +30,8 @@
 #include "common.hpp"
 #include "hetmem/simmem/perf_model.hpp"
 #include "hetmem/runtime/engine.hpp"
+#include "hetmem/support/backoff.hpp"
 #include "hetmem/tenant/arbiter.hpp"
-#include "hetmem/tenant/backoff.hpp"
 #include "hetmem/tenant/tenant.hpp"
 
 namespace {
@@ -305,7 +305,7 @@ int main(int argc, char** argv) {
       shed_refused ? shed.error().retry_after_ms : 0;
   const bool hint_ok =
       shed_refused && hint > 0 &&
-      tenant::parse_retry_after_ms(shed.error().message) == hint;
+      support::parse_retry_after_ms(shed.error().message) == hint;
 
   bool critical_places_under_pressure = false;
   if (auto placed = bed.allocator.mem_alloc(chunk_request(bed, crit));
@@ -316,9 +316,9 @@ int main(int argc, char** argv) {
 
   // Convergence: jittered backoff around the hint, machine recovering one
   // filler chunk per attempt.
-  tenant::BackoffOptions backoff_options;
+  support::BackoffOptions backoff_options;
   backoff_options.seed = 9;  // any fixed seed; determinism is the point
-  tenant::Backoff backoff(backoff_options);
+  support::Backoff backoff(backoff_options);
   std::uint64_t waited_ms = 0;
   unsigned attempts = 0;
   bool converged = false;

@@ -15,6 +15,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "hetmem/memattr/memattr.hpp"
@@ -403,8 +404,16 @@ class HeterogeneousAllocator {
 
   [[nodiscard]] std::uint64_t usable_bytes(unsigned node) const;
 
-  /// Appends to the trace when tracing is enabled (mutex-guarded).
-  void record_trace(TraceEvent event);
+  /// Appends `build()`'s event to the trace (mutex-guarded) when tracing is
+  /// enabled. With tracing off nothing is built: no label copy, no detail
+  /// string, no registry lookup — the one place that decides.
+  template <typename Build>
+  void record_trace(Build&& build) {
+    if (!trace_enabled_.load(std::memory_order_relaxed)) return;
+    TraceEvent event = build();
+    std::lock_guard<std::mutex> lock(trace_mutex_);
+    trace_.push_back(std::move(event));
+  }
 
   /// CAS-consumes `bytes` from the node's reservation; false when the
   /// reservation does not hold that much.

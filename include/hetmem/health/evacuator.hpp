@@ -18,6 +18,11 @@
 // what the budget defers this epoch is retried the next (level-triggered,
 // like the engine).
 //
+// Each decision carries a typed reason (runtime/reason.hpp) whose text is
+// rendered only by render_log() and DecisionReason::to_string(), so a
+// quarantined node whose buffers wait epoch after epoch costs no string
+// formatting per buffer.
+//
 // Thread safety: externally synchronized with the engine's epoch loop (one
 // thread drives run_epoch + drain_epoch). Allocation threads may run
 // concurrently; each buffer is revalidated under the machine's per-buffer
@@ -32,6 +37,7 @@
 #include "hetmem/health/health.hpp"
 #include "hetmem/runtime/engine.hpp"
 #include "hetmem/runtime/policy.hpp"
+#include "hetmem/runtime/reason.hpp"
 
 namespace hetmem::health {
 
@@ -68,14 +74,14 @@ struct EvacDecision {
   std::uint64_t bytes = 0;
   EvacVerdict verdict = EvacVerdict::kMoved;
   double cost_ns = 0.0;
-  std::string reason;
+  runtime::DecisionReason reason;
 };
 
 struct EvacuatorStats {
   std::uint64_t moved = 0;
   std::uint64_t moved_bytes = 0;
   std::uint64_t skipped = 0;    // cold + breakeven
-  std::uint64_t deferred = 0;   // budget
+  std::uint64_t deferred = 0;   // budget + tenant-share
   std::uint64_t failed = 0;     // no-target + failed-migrate
   double cost_ns = 0.0;
 };
@@ -111,16 +117,41 @@ class Evacuator {
   [[nodiscard]] std::string render_log() const;
 
  private:
+  /// Criticality class for the drain order. Lower drains first.
+  enum class DrainClass : int {
+    kLatency = 0,
+    kBandwidth = 1,
+    kCold = 2,  // committed-insensitive or untracked
+  };
+
+  /// One entry of a drain's work list.
+  struct DrainItem {
+    sim::BufferId buffer;
+    DrainClass drain_class = DrainClass::kCold;
+    bool tracked = false;
+    prof::Sensitivity sensitivity = prof::Sensitivity::kInsensitive;
+    double ema_bytes = 0.0;
+  };
+
+  static DrainClass drain_class_of(prof::Sensitivity sensitivity);
+
   void log(std::uint64_t epoch, unsigned from_node, unsigned to_node,
            sim::BufferId buffer, EvacVerdict verdict, double cost_ns,
-           std::string reason);
+           runtime::DecisionReason reason);
 
   alloc::HeterogeneousAllocator* allocator_;
   runtime::MigrationEngine* engine_;
   support::Bitmap initiator_;
+  /// Per node (logical index): is the initiator local to it? Fixed for the
+  /// evacuator's lifetime, like the topology and the initiator.
+  std::vector<bool> local_;
   EvacuatorOptions options_;
   std::vector<EvacDecision> decisions_;
   EvacuatorStats stats_;
+  // Per-drain scratch, reused so a warm drain allocates nothing per buffer.
+  std::vector<sim::BufferId> live_;
+  std::vector<DrainItem> items_;
+  std::vector<sim::BufferTraffic> assigned_;
 };
 
 /// Wires a monitor + evacuator into a RuntimePolicy's epoch hook: each epoch

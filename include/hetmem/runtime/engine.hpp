@@ -17,8 +17,9 @@
 // first); eviction bytes count against the same budget and their cost
 // against the same break-even gate.
 //
-// Every considered move is logged as a Decision with a verdict and reason —
-// an observability surface (render_decision_log() is byte-stable for a fixed
+// Every considered move is logged as a Decision with a verdict and a typed
+// reason (runtime/reason.hpp), rendered to text only on demand — an
+// observability surface (render_decision_log() is byte-stable for a fixed
 // seed, which the chaos tests assert), not just printf.
 //
 // Thread safety (docs/CONCURRENCY.md): externally synchronized — one epoch
@@ -34,6 +35,7 @@
 #include "hetmem/alloc/advisor.hpp"
 #include "hetmem/alloc/allocator.hpp"
 #include "hetmem/runtime/classifier.hpp"
+#include "hetmem/runtime/reason.hpp"
 #include "hetmem/tenant/arbiter.hpp"
 
 namespace hetmem::runtime {
@@ -77,7 +79,7 @@ struct Decision {
   double cost_ns = 0.0;
   double breakeven_epochs = 0.0;
   std::uint64_t bytes = 0;
-  std::string reason;
+  DecisionReason reason;
 };
 
 struct EngineStats {
@@ -184,13 +186,16 @@ class MigrationEngine {
   void ensure_epoch(std::uint64_t epoch_index);
 
   void log(std::uint64_t epoch, sim::BufferId buffer, Verdict verdict,
-           const Candidate* candidate, double cost_ns, std::string reason);
+           const Candidate* candidate, double cost_ns, DecisionReason reason);
   [[nodiscard]] double node_traffic_cost_ns(
       unsigned node, std::uint64_t declared_bytes,
       const sim::BufferTraffic& traffic, unsigned threads) const;
 
   alloc::HeterogeneousAllocator* allocator_;
   support::Bitmap initiator_;
+  /// Per node (logical index): is the initiator local to it? Fixed for the
+  /// engine's lifetime, like the topology and the initiator.
+  std::vector<bool> local_;
   EngineOptions options_;
   tenant::GlobalArbiter* arbiter_ = nullptr;
   std::string log_prefix_;  // restored pre-crash narrative (restore_log_prefix)

@@ -220,6 +220,9 @@ class SimMachine {
   /// — the evacuation loop treats it as a work list and revalidates each
   /// buffer at migrate() time.
   [[nodiscard]] std::vector<BufferId> live_buffers_on(unsigned node) const;
+  /// The same snapshot into `out` (cleared first), reusing its capacity: a
+  /// caller that keeps `out` across calls allocates nothing once warm.
+  void live_buffers_on(unsigned node, std::vector<BufferId>& out) const;
 
   /// Optional chaos hook consulted on every allocate():
   ///  - fault::site::kMachineAllocTransient -> kTransient failure,

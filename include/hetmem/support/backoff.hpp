@@ -11,7 +11,7 @@
 // shed-retry loop (docs/TENANCY.md), the allocator's transient-retry
 // accounting (RetryPolicy), and the recover layer's circuit-breaker probe
 // cooldowns (docs/RECOVERY.md). It lives in support/ so all three can link
-// it without cycles; tenant/backoff.hpp remains as a compatibility alias.
+// it without cycles.
 #pragma once
 
 #include <algorithm>

@@ -53,7 +53,7 @@ struct Error {
   std::string message;
   /// Structured backpressure hint: for kBackpressure errors, the earliest
   /// time (ms from now) the service suggests retrying — 0 when the producer
-  /// has no estimate. Clients should jitter around it (tenant::Backoff)
+  /// has no estimate. Clients should jitter around it (support::Backoff)
   /// rather than sleeping exactly this long in lockstep.
   std::uint64_t retry_after_ms = 0;
 

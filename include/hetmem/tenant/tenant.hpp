@@ -303,7 +303,7 @@ class DegradationLadder {
   /// Deterministic base hint for a shed request: grows with the overload
   /// level and with how far the priority is from critical, so the clients
   /// the ladder wants gone longest are told to stay away longest. Callers
-  /// add jitter via tenant::Backoff, not here.
+  /// add jitter via support::Backoff, not here.
   [[nodiscard]] std::uint64_t retry_after_ms(OverloadLevel level,
                                              Priority priority) const {
     const unsigned level_steps = static_cast<unsigned>(level);

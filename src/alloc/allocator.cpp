@@ -111,12 +111,6 @@ std::vector<TraceEvent> HeterogeneousAllocator::trace() const {
   return trace_;
 }
 
-void HeterogeneousAllocator::record_trace(TraceEvent event) {
-  if (!trace_enabled_.load(std::memory_order_relaxed)) return;
-  std::lock_guard<std::mutex> lock(trace_mutex_);
-  trace_.push_back(std::move(event));
-}
-
 std::uint64_t HeterogeneousAllocator::usable_bytes(unsigned node) const {
   const std::uint64_t available = machine_->available_bytes(node);
   const std::uint64_t reserved = reserved_[node].load(std::memory_order_relaxed);
@@ -226,18 +220,16 @@ Result<Allocation> HeterogeneousAllocator::try_targets(
           tenant->note_spilled();
         }
       }
-      // The guard keeps event construction (string concatenation plus a
-      // registry info() lock) off the hot path when tracing is disabled.
-      if (trace_enabled()) {
+      record_trace([&] {
         std::string detail = registry_->info(used_attribute).name;
         if (note != nullptr) detail = note;
         if (rank > 0 && note == nullptr) {
           detail += " (fallback rank " + std::to_string(rank) + ")";
         }
         if (spilled) detail += " (ladder spill)";
-        record_trace(TraceEvent{TraceEvent::Kind::kAlloc, request.label, node,
-                                request.bytes, std::move(detail)});
-      }
+        return TraceEvent{TraceEvent::Kind::kAlloc, request.label, node,
+                          request.bytes, std::move(detail)};
+      });
       return Result<Allocation>(allocation);
     }
     if (charged) tenant->uncharge(node_kinds_[node], request.bytes);
@@ -247,14 +239,18 @@ Result<Allocation> HeterogeneousAllocator::try_targets(
                              buffer.error().code == Errc::kTransient;
     if (!recoverable || !allow_fallback) {
       stats_.failures.fetch_add(1, std::memory_order_relaxed);
-      record_trace(TraceEvent{TraceEvent::Kind::kFail, request.label, node,
-                              request.bytes, buffer.error().to_string()});
+      record_trace([&] {
+        return TraceEvent{TraceEvent::Kind::kFail, request.label, node,
+                          request.bytes, buffer.error().to_string()};
+      });
       return Result<Allocation>(buffer.error());
     }
     if (buffer.error().code == Errc::kTransient) {
-      record_trace(TraceEvent{TraceEvent::Kind::kFail, request.label, node,
-                              request.bytes,
-                              "transient retries exhausted, falling back"});
+      record_trace([&] {
+        return TraceEvent{TraceEvent::Kind::kFail, request.label, node,
+                          request.bytes,
+                          "transient retries exhausted, falling back"};
+      });
     }
     return std::nullopt;
   };
@@ -360,8 +356,10 @@ Result<Allocation> HeterogeneousAllocator::try_targets(
 
   stats_.failures.fetch_add(1, std::memory_order_relaxed);
   if (gate != nullptr && gate->dead) {
-    record_trace(TraceEvent{TraceEvent::Kind::kFail, request.label, 0,
-                            request.bytes, "tenant deregistered mid-request"});
+    record_trace([&] {
+      return TraceEvent{TraceEvent::Kind::kFail, request.label, 0,
+                        request.bytes, "tenant deregistered mid-request"};
+    });
     return make_error(Errc::kInvalidArgument,
                       "tenant '" + gate->tenant->name() +
                           "' was deregistered; new allocations are refused");
@@ -370,11 +368,13 @@ Result<Allocation> HeterogeneousAllocator::try_targets(
     stats_.backpressure_rejections.fetch_add(1, std::memory_order_relaxed);
     stats_.backpressure_quota.fetch_add(1, std::memory_order_relaxed);
     tenant->note_quota_rejection();
-    record_trace(TraceEvent{
-        TraceEvent::Kind::kFail, request.label, 0, request.bytes,
-        gate->total_cap_hit
-            ? "tenant total quota cap exhausted"
-            : "tenant tier quota caps blocked every reachable target"});
+    record_trace([&] {
+      return TraceEvent{
+          TraceEvent::Kind::kFail, request.label, 0, request.bytes,
+          gate->total_cap_hit
+              ? "tenant total quota cap exhausted"
+              : "tenant tier quota caps blocked every reachable target"};
+    });
     return backpressure_error(
         request,
         "tenant '" + tenant->name() + "' quota cannot absorb " +
@@ -389,19 +389,23 @@ Result<Allocation> HeterogeneousAllocator::try_targets(
     // out-of-capacity (which would read as "the machine is full").
     stats_.backpressure_rejections.fetch_add(1, std::memory_order_relaxed);
     stats_.backpressure_health.fetch_add(1, std::memory_order_relaxed);
-    record_trace(TraceEvent{TraceEvent::Kind::kFail, request.label, 0,
-                            request.bytes,
-                            "healthy targets exhausted; " +
-                                std::to_string(withheld) +
-                                " quarantined target(s) withheld"});
+    record_trace([&] {
+      return TraceEvent{TraceEvent::Kind::kFail, request.label, 0,
+                        request.bytes,
+                        "healthy targets exhausted; " +
+                            std::to_string(withheld) +
+                            " quarantined target(s) withheld"};
+    });
     return make_error(Errc::kBackpressure,
                       "healthy local targets cannot hold " +
                           support::format_bytes(request.bytes) + " for '" +
                           request.label + "'; " + std::to_string(withheld) +
                           " quarantined target(s) withheld by admission control");
   }
-  record_trace(TraceEvent{TraceEvent::Kind::kFail, request.label, 0,
-                          request.bytes, "all local targets exhausted"});
+  record_trace([&] {
+    return TraceEvent{TraceEvent::Kind::kFail, request.label, 0,
+                      request.bytes, "all local targets exhausted"};
+  });
   return make_error(Errc::kOutOfCapacity,
                     "no local target can hold " +
                         support::format_bytes(request.bytes) + " for '" +
@@ -426,10 +430,12 @@ Result<Allocation> HeterogeneousAllocator::mem_alloc(const AllocRequest& request
       stats_.failures.fetch_add(1, std::memory_order_relaxed);
       stats_.backpressure_rejections.fetch_add(1, std::memory_order_relaxed);
       stats_.backpressure_health.fetch_add(1, std::memory_order_relaxed);
-      record_trace(TraceEvent{TraceEvent::Kind::kFail, request.label, 0,
-                              request.bytes,
-                              "admission fast-fail: every target quarantined "
-                              "or offline"});
+      record_trace([&] {
+        return TraceEvent{TraceEvent::Kind::kFail, request.label, 0,
+                          request.bytes,
+                          "admission fast-fail: every target quarantined "
+                          "or offline"};
+      });
       return make_error(Errc::kBackpressure,
                         "no healthy target online for '" + request.label +
                             "': every node is quarantined or offline "
@@ -457,10 +463,12 @@ Result<Allocation> HeterogeneousAllocator::mem_alloc(const AllocRequest& request
         stats_.backpressure_rejections.fetch_add(1, std::memory_order_relaxed);
         stats_.backpressure_shed.fetch_add(1, std::memory_order_relaxed);
         owner.note_shed();
-        record_trace(TraceEvent{
-            TraceEvent::Kind::kFail, request.label, 0, request.bytes,
-            std::string("shed at overload level ") +
-                tenant::overload_level_name(gate.level)});
+        record_trace([&] {
+          return TraceEvent{
+              TraceEvent::Kind::kFail, request.label, 0, request.bytes,
+              std::string("shed at overload level ") +
+                  tenant::overload_level_name(gate.level)};
+        });
         return backpressure_error(
             request,
             std::string("request shed for ") +
@@ -547,22 +555,16 @@ std::vector<TraceEvent> HeterogeneousAllocator::failure_log() const {
 }
 
 Status HeterogeneousAllocator::mem_free(sim::BufferId buffer) {
-  if (!trace_enabled()) {
-    // Hot path: skip the BufferInfo snapshot (it copies the label string)
-    // when nobody will read the trace event.
-    Status status = machine_->free(buffer);
-    if (!status.ok()) return status;
-    stats_.frees.fetch_add(1, std::memory_order_relaxed);
-    release_tenant_charge(buffer);
-    return {};
-  }
-  const sim::BufferInfo info = machine_->info(buffer);
   Status status = machine_->free(buffer);
   if (!status.ok()) return status;
   stats_.frees.fetch_add(1, std::memory_order_relaxed);
   release_tenant_charge(buffer);
-  record_trace(TraceEvent{TraceEvent::Kind::kFree, info.label, info.node,
-                          info.declared_bytes, ""});
+  // A freed buffer keeps its label, node and size in the machine's table.
+  record_trace([&] {
+    sim::BufferInfo info = machine_->info(buffer);
+    return TraceEvent{TraceEvent::Kind::kFree, std::move(info.label),
+                      info.node, info.declared_bytes, ""};
+  });
   return {};
 }
 
@@ -669,24 +671,24 @@ support::Error HeterogeneousAllocator::backpressure_error(
 
 double HeterogeneousAllocator::estimate_migration_cost_ns(
     sim::BufferId buffer, unsigned destination_node) const {
-  const sim::BufferInfo info = machine_->info(buffer);
-  if (info.freed || info.node == destination_node) return 0.0;
+  const sim::BufferResidency residency = machine_->residency(buffer);
+  if (residency.freed || residency.node == destination_node) return 0.0;
+  const std::uint64_t bytes = residency.declared_bytes;
   const auto& model = machine_->perf_model();
   const sim::EffectiveNodePerf src =
-      model.effective(info.node, info.declared_bytes, /*local_initiator=*/true);
-  const sim::EffectiveNodePerf dst = model.effective(
-      destination_node, info.declared_bytes, /*local_initiator=*/true);
+      model.effective(residency.node, bytes, /*local_initiator=*/true);
+  const sim::EffectiveNodePerf dst =
+      model.effective(destination_node, bytes, /*local_initiator=*/true);
   const double copy_bw = std::min(src.read_bw, dst.write_bw);
   const double pages = static_cast<double>(
-      (info.declared_bytes + migration_model_.page_bytes - 1) /
-      migration_model_.page_bytes);
+      (bytes + migration_model_.page_bytes - 1) / migration_model_.page_bytes);
   return pages * migration_model_.per_page_overhead_ns +
-         static_cast<double>(info.declared_bytes) / copy_bw * 1e9;
+         static_cast<double>(bytes) / copy_bw * 1e9;
 }
 
 Result<double> HeterogeneousAllocator::migrate(sim::BufferId buffer,
                                                unsigned destination_node) {
-  const sim::BufferInfo before = machine_->info(buffer);
+  const sim::BufferResidency before = machine_->residency(buffer);
   const double cost_ns = estimate_migration_cost_ns(buffer, destination_node);
   if (Status status = machine_->migrate(buffer, destination_node); !status.ok()) {
     return status.error();
@@ -697,9 +699,11 @@ Result<double> HeterogeneousAllocator::migrate(sim::BufferId buffer,
   stats_.migrations.fetch_add(1, std::memory_order_relaxed);
   stats_.bytes_migrated.fetch_add(before.declared_bytes,
                                   std::memory_order_relaxed);
-  record_trace(TraceEvent{TraceEvent::Kind::kMigrate, before.label,
-                          destination_node, before.declared_bytes,
-                          "from node " + std::to_string(before.node)});
+  record_trace([&] {
+    return TraceEvent{TraceEvent::Kind::kMigrate, machine_->info(buffer).label,
+                      destination_node, before.declared_bytes,
+                      "from node " + std::to_string(before.node)};
+  });
   return cost_ns;
 }
 
@@ -769,11 +773,13 @@ HeterogeneousAllocator::mem_alloc_hybrid(const AllocRequest& request) {
     stats_.allocations.fetch_add(2, std::memory_order_relaxed);
     stats_.fallbacks.fetch_add(1, std::memory_order_relaxed);
     stats_.bytes_allocated.fetch_add(request.bytes, std::memory_order_relaxed);
-    record_trace(TraceEvent{TraceEvent::Kind::kAlloc, request.label,
-                            fast_node, request.bytes,
-                            "hybrid split " +
-                                support::format_fixed(fast_fraction * 100, 0) +
-                                "% / node " + std::to_string(slow_node)});
+    record_trace([&] {
+      return TraceEvent{TraceEvent::Kind::kAlloc, request.label,
+                        fast_node, request.bytes,
+                        "hybrid split " +
+                            support::format_fixed(fast_fraction * 100, 0) +
+                            "% / node " + std::to_string(slow_node)};
+    });
     HybridAllocation hybrid;
     hybrid.fast = *fast;
     hybrid.slow = *slow;
@@ -845,9 +851,11 @@ HeterogeneousAllocator::mem_alloc_interleaved(const AllocRequest& request,
     }
     stats_.allocations.fetch_add(1, std::memory_order_relaxed);
     stats_.bytes_allocated.fetch_add(request.bytes, std::memory_order_relaxed);
-    record_trace(TraceEvent{TraceEvent::Kind::kAlloc, request.label,
-                            result.nodes.front(), request.bytes,
-                            "interleaved " + std::to_string(ways) + "-way"});
+    record_trace([&] {
+      return TraceEvent{TraceEvent::Kind::kAlloc, request.label,
+                        result.nodes.front(), request.bytes,
+                        "interleaved " + std::to_string(ways) + "-way"};
+    });
     return result;
   }
   stats_.failures.fetch_add(1, std::memory_order_relaxed);
@@ -920,8 +928,10 @@ Result<Allocation> HeterogeneousAllocator::mem_alloc_reserved(
   }
   stats_.allocations.fetch_add(1, std::memory_order_relaxed);
   stats_.bytes_allocated.fetch_add(bytes, std::memory_order_relaxed);
-  record_trace(TraceEvent{TraceEvent::Kind::kAlloc, label, node, bytes,
-                          "from reservation"});
+  record_trace([&] {
+    return TraceEvent{TraceEvent::Kind::kAlloc, label, node, bytes,
+                      "from reservation"};
+  });
   return Allocation{*buffer, node, attr::kCapacity, 0, false};
 }
 

@@ -5,37 +5,18 @@
 
 #include "hetmem/alloc/advisor.hpp"
 #include "hetmem/prof/classify.hpp"
-#include "hetmem/support/str.hpp"
 #include "hetmem/support/units.hpp"
 
 namespace hetmem::health {
 
-namespace {
-
-/// Criticality class for the drain order. Lower drains first.
-enum class DrainClass : int {
-  kLatency = 0,
-  kBandwidth = 1,
-  kCold = 2,  // committed-insensitive or untracked
-};
-
-struct DrainItem {
-  sim::BufferId buffer;
-  DrainClass drain_class = DrainClass::kCold;
-  bool tracked = false;
-  prof::Sensitivity sensitivity = prof::Sensitivity::kInsensitive;
-  double ema_bytes = 0.0;
-};
-
-DrainClass drain_class_of(prof::Sensitivity sensitivity) {
+Evacuator::DrainClass Evacuator::drain_class_of(
+    prof::Sensitivity sensitivity) {
   switch (sensitivity) {
     case prof::Sensitivity::kLatency: return DrainClass::kLatency;
     case prof::Sensitivity::kBandwidth: return DrainClass::kBandwidth;
     default: return DrainClass::kCold;
   }
 }
-
-}  // namespace
 
 const char* evac_verdict_name(EvacVerdict verdict) {
   switch (verdict) {
@@ -56,18 +37,22 @@ Evacuator::Evacuator(alloc::HeterogeneousAllocator& allocator,
     : allocator_(&allocator),
       engine_(&engine),
       initiator_(std::move(initiator)),
-      options_(options) {}
+      options_(options) {
+  for (const topo::Object* node : allocator_->machine().topology().numa_nodes()) {
+    local_.push_back(initiator_.is_subset_of(node->cpuset()));
+  }
+}
 
 void Evacuator::log(std::uint64_t epoch, unsigned from_node, unsigned to_node,
                     sim::BufferId buffer, EvacVerdict verdict, double cost_ns,
-                    std::string reason) {
-  const sim::BufferInfo& info = allocator_->machine().info(buffer);
+                    runtime::DecisionReason reason) {
+  sim::BufferInfo info = allocator_->machine().info(buffer);
   EvacDecision decision;
   decision.epoch = epoch;
   decision.from_node = from_node;
   decision.to_node = to_node;
   decision.buffer = buffer;
-  decision.label = info.label;
+  decision.label = std::move(info.label);
   decision.bytes = info.declared_bytes;
   decision.verdict = verdict;
   decision.cost_ns = cost_ns;
@@ -99,23 +84,26 @@ double Evacuator::drain_epoch(std::uint64_t epoch_index, unsigned node,
   if (state != HealthState::kQuarantined && state != HealthState::kOffline) {
     return 0.0;
   }
+  using runtime::ReasonCode;
   const bool offline = state == HealthState::kOffline;
   sim::SimMachine& machine = allocator_->machine();
   const attr::MemAttrRegistry& registry = allocator_->registry();
+  const QuarantineList* quarantine = registry.quarantine_list();
   const alloc::TrafficCostModel model{options_.mlp, threads};
 
   auto node_cost_ns = [&](unsigned target, std::uint64_t declared_bytes,
                           const sim::BufferTraffic& traffic) {
-    const bool local = initiator_.is_subset_of(
-        machine.topology().numa_node(target)->cpuset());
-    return model.cost_ns(machine, target, declared_bytes, local, traffic);
+    return model.cost_ns(machine, target, declared_bytes, local_[target],
+                         traffic);
   };
 
   // Work list: a racy snapshot of the node's live buffers, annotated with
   // the classifier's committed verdict and traffic EMA. Each entry is
-  // revalidated against machine.info() before anything irreversible.
-  std::vector<DrainItem> items;
-  for (sim::BufferId buffer : machine.live_buffers_on(node)) {
+  // revalidated against the buffer's residency before anything
+  // irreversible.
+  machine.live_buffers_on(node, live_);
+  items_.clear();
+  for (sim::BufferId buffer : live_) {
     DrainItem item;
     item.buffer = buffer;
     if (classifier != nullptr && buffer.index < classifier->states().size()) {
@@ -127,12 +115,12 @@ double Evacuator::drain_epoch(std::uint64_t epoch_index, unsigned node,
         item.ema_bytes = buffer_state.ema.memory_bytes;
       }
     }
-    items.push_back(item);
+    items_.push_back(item);
   }
   // Most critical first: latency, then bandwidth, then cold/untracked;
   // hotter before colder within a class; buffer index breaks ties so the
   // order (and the log) is deterministic.
-  std::stable_sort(items.begin(), items.end(),
+  std::stable_sort(items_.begin(), items_.end(),
                    [](const DrainItem& a, const DrainItem& b) {
                      if (a.drain_class != b.drain_class) {
                        return static_cast<int>(a.drain_class) <
@@ -150,11 +138,16 @@ double Evacuator::drain_epoch(std::uint64_t epoch_index, unsigned node,
   // buffer drain across equivalent targets instead of piling everything
   // onto the single cheapest node (whose controller would then serialize
   // all the evacuated traffic).
-  std::vector<sim::BufferTraffic> assigned(
-      machine.topology().numa_nodes().size());
-  for (const DrainItem& item : items) {
-    const sim::BufferInfo info = machine.info(item.buffer);
-    if (info.freed || info.node != node) continue;  // raced a free/migration
+  assigned_.assign(local_.size(), sim::BufferTraffic{});
+  // The work list is grouped by drain class, and each class ranks by one
+  // attribute, so the drain fetches one snapshot per attribute.
+  attr::AttrId ranked_attribute = attr::kCapacity;
+  attr::RankingSnapshot snapshot;
+  for (const DrainItem& item : items_) {
+    const sim::BufferResidency residency = machine.residency(item.buffer);
+    // Raced a free or a migration.
+    if (residency.freed || residency.node != node) continue;
+    const std::uint64_t bytes = residency.declared_bytes;
 
     // Destination: candidates come from the quarantine-aware resilient
     // ranking of the buffer's own placement hint (capacity for cold and
@@ -168,12 +161,15 @@ double Evacuator::drain_epoch(std::uint64_t epoch_index, unsigned node,
     // ties, keeping the choice deterministic.
     const attr::AttrId attribute =
         item.tracked ? prof::allocation_hint(item.sensitivity) : attr::kCapacity;
-    // kAll, not the allocator's locality-restricted default: losing a node is
-    // exactly the situation where the search must widen to non-local targets
-    // (an SNC sibling's DRAM does not even intersect this initiator's cpuset).
-    attr::RankingSnapshot snapshot = registry.targets_ranked_resilient_cached(
-        attribute, initiator_, topo::LocalityFlags::kAll);
-    const QuarantineList* quarantine = registry.quarantine_list();
+    if (!snapshot || attribute != ranked_attribute) {
+      // kAll, not the allocator's locality-restricted default: losing a node
+      // is exactly the situation where the search must widen to non-local
+      // targets (an SNC sibling's DRAM does not even intersect this
+      // initiator's cpuset).
+      snapshot = registry.targets_ranked_resilient_cached(
+          attribute, initiator_, topo::LocalityFlags::kAll);
+      ranked_attribute = attribute;
+    }
     const bool cost_aware =
         item.tracked && item.ema_bytes > 0.0 && classifier != nullptr;
     unsigned destination = node;
@@ -186,15 +182,15 @@ double Evacuator::drain_epoch(std::uint64_t epoch_index, unsigned node,
           quarantine->verdict(candidate) != PlacementVerdict::kNormal) {
         continue;
       }
-      if (machine.available_bytes(candidate) < info.declared_bytes) continue;
+      if (machine.available_bytes(candidate) < bytes) continue;
       if (!cost_aware) {
         destination = candidate;
         break;
       }
       const double candidate_cost_ns =
-          node_cost_ns(candidate, info.declared_bytes,
+          node_cost_ns(candidate, bytes,
                        classifier->states()[item.buffer.index].ema) +
-          node_cost_ns(candidate, info.declared_bytes, assigned[candidate]);
+          node_cost_ns(candidate, bytes, assigned_[candidate]);
       if (destination == node || candidate_cost_ns < destination_cost_ns) {
         destination = candidate;
         destination_cost_ns = candidate_cost_ns;
@@ -202,7 +198,7 @@ double Evacuator::drain_epoch(std::uint64_t epoch_index, unsigned node,
     }
     if (destination == node) {
       log(epoch_index, node, node, item.buffer, EvacVerdict::kRejectedNoTarget,
-          0.0, "no healthy target has room");
+          0.0, {.code = ReasonCode::kNoHealthyTarget});
       continue;
     }
 
@@ -217,29 +213,28 @@ double Evacuator::drain_epoch(std::uint64_t epoch_index, unsigned node,
       if (!item.tracked || item.ema_bytes <= 0.0) {
         log(epoch_index, node, destination, item.buffer,
             EvacVerdict::kSkippedCold, 0.0,
-            item.tracked ? "no observed traffic" : "untracked buffer");
+            {.code = item.tracked ? ReasonCode::kNoObservedTraffic
+                                  : ReasonCode::kUntracked});
         continue;
       }
       const sim::BufferTraffic& traffic =
           classifier->states()[item.buffer.index].ema;
       const double benefit_per_epoch_ns =
-          node_cost_ns(node, info.declared_bytes, traffic) *
-              options_.quarantined_slowdown -
-          node_cost_ns(destination, info.declared_bytes, traffic);
+          node_cost_ns(node, bytes, traffic) * options_.quarantined_slowdown -
+          node_cost_ns(destination, bytes, traffic);
       if (benefit_per_epoch_ns <= 0.0) {
         log(epoch_index, node, destination, item.buffer,
             EvacVerdict::kSkippedCold, 0.0,
-            "degraded source still cheaper than " +
-                std::to_string(destination) + " for observed traffic");
+            {.code = ReasonCode::kSourceStillCheaper, .id = destination});
         continue;
       }
       const double breakeven = cost_ns / benefit_per_epoch_ns;
       if (breakeven > options_.expected_future_epochs) {
         log(epoch_index, node, destination, item.buffer,
             EvacVerdict::kRejectedBreakeven, cost_ns,
-            "breakeven " + support::format_fixed(breakeven, 1) +
-                " epochs exceeds horizon " +
-                support::format_fixed(options_.expected_future_epochs, 1));
+            {.code = ReasonCode::kBreakeven,
+             .epochs = breakeven,
+             .horizon = options_.expected_future_epochs});
         continue;
       }
     }
@@ -247,39 +242,39 @@ double Evacuator::drain_epoch(std::uint64_t epoch_index, unsigned node,
     // Budget gate: evacuation draws from the engine's per-epoch pool, so a
     // drain burst cannot blow past the paper's migration-avoidance knob. An
     // offline node's remaining buffers simply retry next epoch.
-    if (engine_->budget_remaining(epoch_index) < info.declared_bytes) {
+    const std::uint64_t budget_left = engine_->budget_remaining(epoch_index);
+    if (budget_left < bytes) {
       log(epoch_index, node, destination, item.buffer,
           EvacVerdict::kDeferredBudget, cost_ns,
-          "needs " + support::format_bytes(info.declared_bytes) +
-              ", budget has " +
-              support::format_bytes(engine_->budget_remaining(epoch_index)) +
-              " left this epoch");
+          {.code = ReasonCode::kBudget, .bytes = bytes,
+           .budget_left = budget_left});
       continue;
     }
     // Arbiter gate: with per-tenant slices in force, a drain burst for one
     // tenant cannot starve the others' migration shares either — the drained
     // bytes come out of the owning tenant's slice, and a denial defers the
     // buffer to the next epoch exactly like the shared-pool gate above.
-    if (!engine_->tenant_draw(epoch_index, item.buffer, info.declared_bytes)) {
+    if (!engine_->tenant_draw(epoch_index, item.buffer, bytes)) {
       log(epoch_index, node, destination, item.buffer,
           EvacVerdict::kDeferredTenantShare, cost_ns,
-          "owning tenant's slice cannot cover " +
-              support::format_bytes(info.declared_bytes) + " this epoch");
+          {.code = ReasonCode::kTenantShare, .bytes = bytes});
       continue;
     }
 
     auto result = allocator_->migrate(item.buffer, destination);
     if (!result.ok()) {
       log(epoch_index, node, destination, item.buffer,
-          EvacVerdict::kFailedMigrate, 0.0, result.error().to_string());
+          EvacVerdict::kFailedMigrate, 0.0,
+          {.code = ReasonCode::kMigrateError,
+           .detail = result.error().to_string()});
       continue;
     }
     paid_ns += *result;
-    (void)engine_->consume_budget(epoch_index, info.declared_bytes);
+    (void)engine_->consume_budget(epoch_index, bytes);
     if (item.tracked && classifier != nullptr) {
       const sim::BufferTraffic& moved_traffic =
           classifier->states()[item.buffer.index].ema;
-      sim::BufferTraffic& sink = assigned[destination];
+      sim::BufferTraffic& sink = assigned_[destination];
       sink.reads += moved_traffic.reads;
       sink.writes += moved_traffic.writes;
       sink.llc_misses += moved_traffic.llc_misses;
@@ -289,8 +284,8 @@ double Evacuator::drain_epoch(std::uint64_t epoch_index, unsigned node,
     }
     log(epoch_index, node, destination, item.buffer, EvacVerdict::kMoved,
         *result,
-        offline ? "urgent drain off offline node"
-                : "drain off quarantined node");
+        {.code = offline ? ReasonCode::kOfflineDrain
+                         : ReasonCode::kQuarantineDrain});
   }
   return paid_ns;
 }
@@ -300,19 +295,33 @@ bool Evacuator::drained(unsigned node) const {
 }
 
 std::string Evacuator::render_log() const {
+  // Appended piece by piece, like MigrationEngine::render_decision_log().
   std::string out;
   for (const EvacDecision& decision : decisions_) {
-    out += "epoch " + std::to_string(decision.epoch) + " " +
-           evac_verdict_name(decision.verdict) + " " + decision.label +
-           " (buffer " + std::to_string(decision.buffer.index) + ") node " +
-           std::to_string(decision.from_node) + " -> " +
-           std::to_string(decision.to_node) + " " +
-           support::format_bytes(decision.bytes);
+    out += "epoch ";
+    out += std::to_string(decision.epoch);
+    out += ' ';
+    out += evac_verdict_name(decision.verdict);
+    out += ' ';
+    out += decision.label;
+    out += " (buffer ";
+    out += std::to_string(decision.buffer.index);
+    out += ") node ";
+    out += std::to_string(decision.from_node);
+    out += " -> ";
+    out += std::to_string(decision.to_node);
+    out += ' ';
+    out += support::format_bytes(decision.bytes);
     if (decision.cost_ns > 0.0) {
-      out += " cost " + support::format_fixed(decision.cost_ns / 1e6, 3) + " ms";
+      out += " cost ";
+      out += support::format_fixed(decision.cost_ns / 1e6, 3);
+      out += " ms";
     }
-    if (!decision.reason.empty()) out += " — " + decision.reason;
-    out += "\n";
+    if (decision.reason.code != runtime::ReasonCode::kNone) {
+      out += " — ";
+      decision.reason.append_to(out);
+    }
+    out += '\n';
   }
   return out;
 }

@@ -1,9 +1,9 @@
 #include "hetmem/runtime/engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
-#include "hetmem/support/str.hpp"
 #include "hetmem/support/units.hpp"
 
 namespace hetmem::runtime {
@@ -15,6 +15,77 @@ struct PlannedEviction {
   sim::BufferId buffer;
   unsigned to_node = 0;
   std::uint64_t bytes = 0;
+};
+
+struct Victim {
+  std::uint32_t index = 0;
+  std::uint64_t bytes = 0;
+};
+
+/// Cold insensitive buffers that could be displaced, per node: coldest
+/// (lowest EMA traffic) first, with their declared-byte total. Only buffers
+/// the classifier tracks are fair game — never an application's untracked
+/// allocations. One scan of the classifier's states builds every node's
+/// list and total; a list is sorted only when a caller walks it. Within an
+/// epoch only a migrate() call moves buffers, so the lists stay valid until
+/// the caller marks them stale after one.
+class VictimLists {
+ public:
+  VictimLists(const std::vector<OnlineClassifier::BufferState>& states,
+              const sim::SimMachine& machine, std::size_t nodes)
+      : states_(&states),
+        machine_(&machine),
+        lists_(nodes),
+        bytes_(nodes),
+        sorted_(nodes) {}
+
+  const std::vector<Victim>& on(unsigned node) {
+    refresh();
+    std::vector<Victim>& list = lists_[node];
+    if (!sorted_[node]) {
+      const auto& states = *states_;
+      std::stable_sort(list.begin(), list.end(),
+                       [&](const Victim& a, const Victim& b) {
+                         return states[a.index].ema.memory_bytes <
+                                states[b.index].ema.memory_bytes;
+                       });
+      sorted_[node] = true;
+    }
+    return list;
+  }
+  std::uint64_t bytes_on(unsigned node) {
+    refresh();
+    return bytes_[node];
+  }
+  void mark_stale() { fresh_ = false; }
+
+ private:
+  void refresh() {
+    if (fresh_) return;
+    fresh_ = true;
+    for (std::vector<Victim>& list : lists_) list.clear();
+    std::fill(bytes_.begin(), bytes_.end(), 0);
+    std::fill(sorted_.begin(), sorted_.end(), false);
+    const auto& states = *states_;
+    for (std::uint32_t index = 0; index < states.size(); ++index) {
+      if (!states[index].tracked ||
+          states[index].committed != prof::Sensitivity::kInsensitive) {
+        continue;
+      }
+      const sim::BufferResidency residency =
+          machine_->residency(sim::BufferId{index});
+      if (residency.freed) continue;
+      lists_[residency.node].push_back(Victim{index, residency.declared_bytes});
+      bytes_[residency.node] += residency.declared_bytes;
+    }
+  }
+
+  const std::vector<OnlineClassifier::BufferState>* states_;
+  const sim::SimMachine* machine_;
+  std::vector<std::vector<Victim>> lists_;
+  std::vector<std::uint64_t> bytes_;
+  std::vector<bool> sorted_;
+  bool fresh_ = false;
 };
 
 }  // namespace
@@ -39,7 +110,11 @@ MigrationEngine::MigrationEngine(alloc::HeterogeneousAllocator& allocator,
                                  EngineOptions options)
     : allocator_(&allocator),
       initiator_(std::move(initiator)),
-      options_(options) {}
+      options_(options) {
+  for (const topo::Object* node : allocator_->machine().topology().numa_nodes()) {
+    local_.push_back(initiator_.is_subset_of(node->cpuset()));
+  }
+}
 
 void MigrationEngine::ensure_epoch(std::uint64_t epoch_index) {
   if (budget_epoch_ == epoch_index) return;
@@ -77,21 +152,19 @@ bool MigrationEngine::consume_budget(std::uint64_t epoch_index,
 double MigrationEngine::node_traffic_cost_ns(
     unsigned node, std::uint64_t declared_bytes,
     const sim::BufferTraffic& traffic, unsigned threads) const {
-  const sim::SimMachine& machine = allocator_->machine();
   const alloc::TrafficCostModel model{options_.mlp, threads};
-  const bool local = initiator_.is_subset_of(
-      machine.topology().numa_node(node)->cpuset());
-  return model.cost_ns(machine, node, declared_bytes, local, traffic);
+  return model.cost_ns(allocator_->machine(), node, declared_bytes,
+                       local_[node], traffic);
 }
 
 void MigrationEngine::log(std::uint64_t epoch, sim::BufferId buffer,
                           Verdict verdict, const Candidate* candidate,
-                          double cost_ns, std::string reason) {
-  const sim::BufferInfo& info = allocator_->machine().info(buffer);
+                          double cost_ns, DecisionReason reason) {
+  sim::BufferInfo info = allocator_->machine().info(buffer);
   Decision decision;
   decision.epoch = epoch;
   decision.buffer = buffer;
-  decision.label = info.label;
+  decision.label = std::move(info.label);
   decision.from_node = info.node;
   decision.verdict = verdict;
   decision.cost_ns = cost_ns;
@@ -125,26 +198,8 @@ double MigrationEngine::run_epoch(std::uint64_t epoch_index,
   const attr::MemAttrRegistry& registry = allocator_->registry();
   const auto query = attr::Initiator::from_cpuset(initiator_);
   const auto& states = classifier.states();
-
-  // Cold insensitive buffers on `node` that could be displaced, coldest
-  // (lowest EMA traffic) first. Only buffers the classifier tracks are fair
-  // game — never an application's untracked allocations.
-  auto eviction_candidates = [&](unsigned node, sim::BufferId except) {
-    std::vector<std::uint32_t> victims;
-    for (std::uint32_t index = 0; index < states.size(); ++index) {
-      if (!states[index].tracked || index == except.index) continue;
-      if (states[index].committed != prof::Sensitivity::kInsensitive) continue;
-      const sim::BufferInfo& info = machine.info(sim::BufferId{index});
-      if (info.freed || info.node != node) continue;
-      victims.push_back(index);
-    }
-    std::stable_sort(victims.begin(), victims.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       return states[a].ema.memory_bytes <
-                              states[b].ema.memory_bytes;
-                     });
-    return victims;
-  };
+  const std::size_t node_count = machine.topology().numa_nodes().size();
+  VictimLists victims(states, machine, node_count);
 
   // Where evicted buffers go: down the Capacity ranking (always populated
   // natively), skipping the node being cleared. Fetched through the ranking
@@ -154,6 +209,10 @@ double MigrationEngine::run_epoch(std::uint64_t epoch_index,
       registry.targets_ranked_cached(attr::kCapacity, query);
   const std::vector<attr::TargetValue>& capacity_ranking =
       capacity_snapshot->targets;
+  // One ranking per committed sensitivity (each maps to one attribute),
+  // indexed by the Sensitivity value, fetched on first use and shared by
+  // every buffer this epoch.
+  std::array<attr::RankingSnapshot, 3> rankings;
 
   // Phase 1: level-triggered scan. Propose a move for every tracked
   // latency/bandwidth buffer whose best feasible ranked target is elsewhere;
@@ -166,19 +225,19 @@ double MigrationEngine::run_epoch(std::uint64_t epoch_index,
       continue;
     }
     const sim::BufferId buffer{index};
-    const sim::BufferInfo& info = machine.info(buffer);
-    if (info.freed) continue;
+    const sim::BufferResidency residency = machine.residency(buffer);
+    if (residency.freed) continue;
 
     const attr::AttrId attribute = prof::allocation_hint(state.committed);
-    // Per-buffer ranking reuses the shared snapshot: there are only a couple
-    // of distinct attributes across all tracked buffers, so this inner loop
-    // is all cache hits.
-    attr::RankingSnapshot ranked_snapshot =
-        registry.targets_ranked_cached(attribute, query);
+    attr::RankingSnapshot& ranked_snapshot =
+        rankings[static_cast<std::size_t>(state.committed)];
+    if (!ranked_snapshot) {
+      ranked_snapshot = registry.targets_ranked_cached(attribute, query);
+    }
     const std::vector<attr::TargetValue>& ranked = ranked_snapshot->targets;
     if (ranked.empty()) {
       log(epoch_index, buffer, Verdict::kRejectedNoTarget, nullptr, 0.0,
-          "no ranked targets for attribute " + std::to_string(attribute));
+          {.code = ReasonCode::kNoRankedTargets, .id = attribute});
       continue;
     }
 
@@ -186,30 +245,25 @@ double MigrationEngine::run_epoch(std::uint64_t epoch_index,
     bool best_placed = false;
     for (const attr::TargetValue& target : ranked) {
       const unsigned node = target.target->logical_index();
-      if (node == info.node) {
+      if (node == residency.node) {
         best_placed = true;
         break;
       }
-      if (machine.available_bytes(node) >= info.declared_bytes) {
+      if (machine.available_bytes(node) >= residency.declared_bytes) {
         destination = target.target;
         break;
       }
-      if (options_.allow_evictions) {
-        std::uint64_t reclaimable = 0;
-        for (std::uint32_t victim : eviction_candidates(node, buffer)) {
-          reclaimable += machine.info(sim::BufferId{victim}).declared_bytes;
-        }
-        if (machine.available_bytes(node) + reclaimable >=
-            info.declared_bytes) {
-          destination = target.target;
-          break;
-        }
+      if (options_.allow_evictions &&
+          machine.available_bytes(node) + victims.bytes_on(node) >=
+              residency.declared_bytes) {
+        destination = target.target;
+        break;
       }
     }
     if (best_placed) continue;
     if (destination == nullptr) {
       log(epoch_index, buffer, Verdict::kRejectedCapacity, nullptr, 0.0,
-          "no ranked target has room (evictions insufficient)");
+          {.code = ReasonCode::kNoRankedRoom});
       continue;
     }
 
@@ -218,13 +272,13 @@ double MigrationEngine::run_epoch(std::uint64_t epoch_index,
     candidate.to_node = destination->logical_index();
     candidate.sensitivity = state.committed;
     candidate.benefit_per_epoch_ns =
-        node_traffic_cost_ns(info.node, info.declared_bytes, state.ema,
-                             threads) -
-        node_traffic_cost_ns(candidate.to_node, info.declared_bytes,
+        node_traffic_cost_ns(residency.node, residency.declared_bytes,
+                             state.ema, threads) -
+        node_traffic_cost_ns(candidate.to_node, residency.declared_bytes,
                              state.ema, threads);
     if (candidate.benefit_per_epoch_ns <= 0.0) {
       log(epoch_index, buffer, Verdict::kRejectedNoBenefit, &candidate, 0.0,
-          "destination not faster for observed traffic");
+          {.code = ReasonCode::kNoBenefit});
       continue;
     }
     candidates.push_back(candidate);
@@ -245,47 +299,44 @@ double MigrationEngine::run_epoch(std::uint64_t epoch_index,
   ensure_epoch(epoch_index);
   std::uint64_t epoch_bytes = 0;
   double paid_ns = 0.0;
+  std::vector<PlannedEviction> evictions;
+  std::vector<std::uint64_t> promised(node_count);
   for (const Candidate& candidate : candidates) {
-    const sim::BufferInfo info = machine.info(candidate.buffer);
-    if (info.freed || info.node == candidate.to_node) continue;
+    const sim::BufferResidency residency = machine.residency(candidate.buffer);
+    if (residency.freed || residency.node == candidate.to_node) continue;
 
     // Plan evictions needed to fit, tracking room already promised away.
-    std::vector<PlannedEviction> evictions;
+    evictions.clear();
+    std::fill(promised.begin(), promised.end(), 0);
     std::uint64_t room = machine.available_bytes(candidate.to_node);
-    std::vector<std::uint64_t> promised(machine.topology().numa_nodes().size(),
-                                        0);
-    if (room < info.declared_bytes && options_.allow_evictions) {
-      for (std::uint32_t victim_index :
-           eviction_candidates(candidate.to_node, candidate.buffer)) {
-        if (room >= info.declared_bytes) break;
-        const sim::BufferId victim{victim_index};
-        const sim::BufferInfo& victim_info = machine.info(victim);
+    if (room < residency.declared_bytes && options_.allow_evictions) {
+      for (const Victim& victim : victims.on(candidate.to_node)) {
+        if (room >= residency.declared_bytes) break;
         unsigned victim_dest = candidate.to_node;
         for (const attr::TargetValue& target : capacity_ranking) {
           const unsigned node = target.target->logical_index();
           if (node == candidate.to_node) continue;
-          if (machine.available_bytes(node) >=
-              promised[node] + victim_info.declared_bytes) {
+          if (machine.available_bytes(node) >= promised[node] + victim.bytes) {
             victim_dest = node;
             break;
           }
         }
         if (victim_dest == candidate.to_node) continue;  // nowhere to put it
-        promised[victim_dest] += victim_info.declared_bytes;
-        room += victim_info.declared_bytes;
-        evictions.push_back(PlannedEviction{victim, victim_dest,
-                                            victim_info.declared_bytes});
+        promised[victim_dest] += victim.bytes;
+        room += victim.bytes;
+        evictions.push_back(PlannedEviction{sim::BufferId{victim.index},
+                                            victim_dest, victim.bytes});
       }
     }
-    if (room < info.declared_bytes) {
+    if (room < residency.declared_bytes) {
       log(epoch_index, candidate.buffer, Verdict::kRejectedCapacity,
-          &candidate, 0.0, "destination full (evictions insufficient)");
+          &candidate, 0.0, {.code = ReasonCode::kDestinationFull});
       continue;
     }
 
     double cost_ns = allocator_->estimate_migration_cost_ns(candidate.buffer,
                                                             candidate.to_node);
-    std::uint64_t move_bytes = info.declared_bytes;
+    std::uint64_t move_bytes = residency.declared_bytes;
     for (const PlannedEviction& eviction : evictions) {
       cost_ns +=
           allocator_->estimate_migration_cost_ns(eviction.buffer,
@@ -297,16 +348,17 @@ double MigrationEngine::run_epoch(std::uint64_t epoch_index,
     if (breakeven > options_.expected_future_epochs) {
       log(epoch_index, candidate.buffer, Verdict::kRejectedBreakeven,
           &candidate, cost_ns,
-          "breakeven " + support::format_fixed(breakeven, 1) +
-              " epochs exceeds horizon " +
-              support::format_fixed(options_.expected_future_epochs, 1));
+          {.code = ReasonCode::kBreakeven,
+           .epochs = breakeven,
+           .horizon = options_.expected_future_epochs});
       continue;
     }
     if (move_bytes > budget_left_) {
       log(epoch_index, candidate.buffer, Verdict::kRejectedBudget, &candidate,
           cost_ns,
-          "needs " + support::format_bytes(move_bytes) + ", budget has " +
-              support::format_bytes(budget_left_) + " left this epoch");
+          {.code = ReasonCode::kBudget,
+           .bytes = move_bytes,
+           .budget_left = budget_left_});
       continue;
     }
     // Arbiter gate: the whole move (promotion + its evictions) is charged to
@@ -314,22 +366,26 @@ double MigrationEngine::run_epoch(std::uint64_t epoch_index,
     if (!tenant_draw(epoch_index, candidate.buffer, move_bytes)) {
       log(epoch_index, candidate.buffer, Verdict::kRejectedTenantShare,
           &candidate, cost_ns,
-          "owning tenant's slice cannot cover " +
-              support::format_bytes(move_bytes) + " this epoch");
+          {.code = ReasonCode::kTenantShare, .bytes = move_bytes});
       continue;
     }
 
     bool eviction_failed = false;
+    const std::string label =
+        evictions.empty() ? std::string() : machine.info(candidate.buffer).label;
     for (const PlannedEviction& eviction : evictions) {
       Candidate as_candidate;
       as_candidate.buffer = eviction.buffer;
       as_candidate.to_node = eviction.to_node;
       as_candidate.sensitivity = prof::Sensitivity::kInsensitive;
-      const unsigned victim_from = machine.info(eviction.buffer).node;
+      const unsigned victim_from = machine.residency(eviction.buffer).node;
       auto result = allocator_->migrate(eviction.buffer, eviction.to_node);
+      victims.mark_stale();
       if (!result.ok()) {
         log(epoch_index, eviction.buffer, Verdict::kFailedMigrate,
-            &as_candidate, 0.0, result.error().to_string());
+            &as_candidate, 0.0,
+            {.code = ReasonCode::kMigrateError,
+             .detail = result.error().to_string()});
         eviction_failed = true;
         break;
       }
@@ -339,31 +395,34 @@ double MigrationEngine::run_epoch(std::uint64_t epoch_index,
       stats_.migrated_bytes += eviction.bytes;
       stats_.migration_cost_ns += *result;
       log(epoch_index, eviction.buffer, Verdict::kEvicted, &as_candidate,
-          *result, "making room for " + info.label);
+          *result, {.code = ReasonCode::kMakingRoom, .detail = label});
       // log() snapshots the buffer's node, which migrate() just changed;
       // the decision should show where the victim came from.
       decisions_.back().from_node = victim_from;
     }
     if (eviction_failed) {
       log(epoch_index, candidate.buffer, Verdict::kRejectedCapacity,
-          &candidate, 0.0, "eviction failed; retrying next epoch");
+          &candidate, 0.0, {.code = ReasonCode::kEvictionFailed});
       continue;
     }
 
     auto result = allocator_->migrate(candidate.buffer, candidate.to_node);
+    victims.mark_stale();
     if (!result.ok()) {
       log(epoch_index, candidate.buffer, Verdict::kFailedMigrate, &candidate,
-          cost_ns, result.error().to_string());
+          cost_ns,
+          {.code = ReasonCode::kMigrateError,
+           .detail = result.error().to_string()});
       continue;
     }
     paid_ns += *result;
-    (void)consume_budget(epoch_index, info.declared_bytes);
-    epoch_bytes += info.declared_bytes;
-    stats_.migrated_bytes += info.declared_bytes;
+    (void)consume_budget(epoch_index, residency.declared_bytes);
+    epoch_bytes += residency.declared_bytes;
+    stats_.migrated_bytes += residency.declared_bytes;
     stats_.migration_cost_ns += *result;
     log(epoch_index, candidate.buffer, Verdict::kAccepted, &candidate, *result,
-        "breakeven " + support::format_fixed(breakeven, 1) + " epochs");
-    decisions_.back().from_node = info.node;
+        {.code = ReasonCode::kAmortized, .epochs = breakeven});
+    decisions_.back().from_node = residency.node;
   }
 
   max_epoch_bytes_ = std::max(max_epoch_bytes_, epoch_bytes);
@@ -371,23 +430,38 @@ double MigrationEngine::run_epoch(std::uint64_t epoch_index,
 }
 
 std::string MigrationEngine::render_decision_log() const {
+  // Appended piece by piece: a chain of operator+ would build a temporary
+  // string per piece, per decision, on every checkpoint capture.
   std::string out = log_prefix_;
   for (const Decision& decision : decisions_) {
-    out += "epoch " + std::to_string(decision.epoch) + " " +
-           verdict_name(decision.verdict) + " " + decision.label + " (buffer " +
-           std::to_string(decision.buffer.index) + ", " +
-           prof::sensitivity_name(decision.sensitivity) + ") node " +
-           std::to_string(decision.from_node) + " -> " +
-           std::to_string(decision.to_node) + " " +
-           support::format_bytes(decision.bytes);
+    out += "epoch ";
+    out += std::to_string(decision.epoch);
+    out += ' ';
+    out += verdict_name(decision.verdict);
+    out += ' ';
+    out += decision.label;
+    out += " (buffer ";
+    out += std::to_string(decision.buffer.index);
+    out += ", ";
+    out += prof::sensitivity_name(decision.sensitivity);
+    out += ") node ";
+    out += std::to_string(decision.from_node);
+    out += " -> ";
+    out += std::to_string(decision.to_node);
+    out += ' ';
+    out += support::format_bytes(decision.bytes);
     if (decision.benefit_per_epoch_ns > 0.0) {
-      out += " benefit/epoch " +
-             support::format_fixed(decision.benefit_per_epoch_ns / 1e6, 3) +
-             " ms, cost " + support::format_fixed(decision.cost_ns / 1e6, 3) +
-             " ms";
+      out += " benefit/epoch ";
+      out += support::format_fixed(decision.benefit_per_epoch_ns / 1e6, 3);
+      out += " ms, cost ";
+      out += support::format_fixed(decision.cost_ns / 1e6, 3);
+      out += " ms";
     }
-    if (!decision.reason.empty()) out += " — " + decision.reason;
-    out += "\n";
+    if (decision.reason.code != ReasonCode::kNone) {
+      out += " — ";
+      decision.reason.append_to(out);
+    }
+    out += '\n';
   }
   return out;
 }

@@ -466,15 +466,21 @@ void SimMachine::report_thermal_throttle(unsigned node) {
 
 std::vector<BufferId> SimMachine::live_buffers_on(unsigned node) const {
   std::vector<BufferId> live;
+  live_buffers_on(node, live);
+  return live;
+}
+
+void SimMachine::live_buffers_on(unsigned node,
+                                 std::vector<BufferId>& out) const {
+  out.clear();
   const std::uint32_t total = next_slot_.load(std::memory_order_acquire);
   for (std::uint32_t index = 0; index < total; ++index) {
     const Slot* slot = find_slot(BufferId{index});
     if (slot == nullptr) continue;
     if (slot->state.load(std::memory_order_acquire) != SlotState::kLive) continue;
     if (slot->node.load(std::memory_order_relaxed) != node) continue;
-    live.push_back(BufferId{index});
+    out.push_back(BufferId{index});
   }
-  return live;
 }
 
 }  // namespace hetmem::sim

@@ -8,7 +8,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <map>
+#include <new>
 #include <set>
 #include <string>
 #include <thread>
@@ -24,6 +26,33 @@
 #include "hetmem/simmem/array.hpp"
 #include "hetmem/support/units.hpp"
 #include "hetmem/topo/presets.hpp"
+
+// Counts every global operator new in this test binary, so a test can show
+// how a call's allocations scale. The array forms forward to these. The
+// nothrow form (std::stable_sort's buffer) is replaced too: under
+// AddressSanitizer it would otherwise come from the sanitizer's own
+// operator new and be released through the free() below. The deletes stay
+// out of line: inlined next to a `new`, GCC would flag the malloc/free
+// pair as a new/free mismatch.
+namespace {
+std::atomic<std::size_t> g_heap_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+[[gnu::noinline]] void operator delete(void* block) noexcept {
+  std::free(block);
+}
+[[gnu::noinline]] void operator delete(void* block, std::size_t) noexcept {
+  std::free(block);
+}
 
 namespace hetmem {
 namespace {
@@ -570,6 +599,63 @@ TEST_F(EvacuatorTest, DrainSharesEngineBudgetAndRetriesNextEpoch) {
   evacuator.drain_epoch(1, slow, health::HealthState::kOffline, 4);
   EXPECT_EQ(evacuator.stats().moved, 2u);
   EXPECT_TRUE(evacuator.drained(slow));
+}
+
+TEST_F(EvacuatorTest, WarmBreakevenRejectionsAllocateNothingPerBuffer) {
+  // Two quarantined NVDIMM nodes, one holding 32 nearly idle buffers and one
+  // holding 128: every buffer is priced and rejected on breakeven in every
+  // drain. A warm drain's heap allocations must not grow with the buffer
+  // count. Growth of the decisions vector is not counted: a drain that
+  // reallocates it is skipped. The decision record keeps its own copy of the
+  // label; these labels, like kv_rotation's "kv.segN", fit the small-string
+  // buffer.
+  unsigned nvdimm[2] = {};
+  unsigned found = 0;
+  for (const topo::Object* node : machine_.topology().numa_nodes()) {
+    if (node->memory_kind() == topo::MemoryKind::kNVDIMM && found < 2) {
+      nvdimm[found++] = node->logical_index();
+    }
+  }
+  ASSERT_EQ(found, 2u);
+  const unsigned counts[2] = {32, 128};
+  runtime::OnlineClassifier classifier(immediate_classifier());
+  std::vector<std::pair<std::uint32_t, sim::BufferTraffic>> samples;
+  for (unsigned n = 0; n < 2; ++n) {
+    for (unsigned i = 0; i < counts[n]; ++i) {
+      auto buffer = machine_.allocate(
+          256 * kMiB, nvdimm[n], "evac." + std::to_string(n) + "." +
+                                     std::to_string(i),
+          4096);
+      ASSERT_TRUE(buffer.ok());
+      samples.emplace_back(buffer->index, random_traffic(1e3));
+    }
+  }
+  classifier.observe(make_epoch(0, std::move(samples)));
+
+  std::uint64_t epoch = 0;
+  auto warm_drain_allocations = [&](unsigned node) {
+    evacuator_.drain_epoch(epoch++, node, health::HealthState::kQuarantined,
+                           4, &classifier);
+    for (int attempt = 0; attempt < 8; ++attempt) {
+      const std::size_t capacity = evacuator_.decisions().capacity();
+      const std::size_t before = g_heap_allocations.load();
+      evacuator_.drain_epoch(epoch++, node, health::HealthState::kQuarantined,
+                             4, &classifier);
+      const std::size_t made = g_heap_allocations.load() - before;
+      if (evacuator_.decisions().capacity() == capacity) return made;
+    }
+    ADD_FAILURE() << "every drain reallocated the decisions vector";
+    return std::size_t{0};
+  };
+  const std::size_t small = warm_drain_allocations(nvdimm[0]);
+  const std::size_t large = warm_drain_allocations(nvdimm[1]);
+  EXPECT_EQ(small, large);
+
+  ASSERT_EQ(evacuator_.stats().moved, 0u);
+  for (const health::EvacDecision& decision : evacuator_.decisions()) {
+    ASSERT_EQ(decision.verdict, health::EvacVerdict::kRejectedBreakeven)
+        << evacuator_.render_log();
+  }
 }
 
 TEST_F(EvacuatorTest, NoHealthyTargetIsReportedNotForced) {

@@ -25,6 +25,8 @@
 #include "hetmem/hmat/hmat.hpp"
 #include "hetmem/runtime/policy.hpp"
 #include "hetmem/support/units.hpp"
+#include "hetmem/tenant/arbiter.hpp"
+#include "hetmem/tenant/tenant.hpp"
 #include "hetmem/topo/presets.hpp"
 #include "hetmem/trace/trace.hpp"
 
@@ -446,6 +448,121 @@ TEST(KvCachePhaseChaosTest, EvacuationAndPhaseMigrationsShareEpochBudget) {
   EXPECT_GE(engine_migrations, 1u) << policy.render_decision_log();
   EXPECT_GE(evacuated_off_victim, 1u)
       << monitor.render_transition_log() << policy.render_decision_log();
+}
+
+
+// ---------------------------------------------------------------------------
+// Both movers' decision logs, pinned across commits
+// ---------------------------------------------------------------------------
+
+/// FNV-1a, 64-bit: the digest the pinned logs are compared by.
+std::uint64_t fnv1a64(const std::string& text) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+TEST(KvCachePhaseChaosTest, DecisionLogsMatchRecordedDigests) {
+  // One seeded run that drives both movers through most of their verdicts:
+  // a rotating hot set squeezed into fast memory (promotions, evictions),
+  // an epoch budget carved between two tenants (tenant-share and budget
+  // deferrals), the slow node holding the segments degraded at epoch 6 and
+  // cleared at epoch 14 (quarantined drains that move hot segments and
+  // reject warm ones on breakeven, then re-probation), and the heavy fault
+  // preset from epoch 24 on (failed migrations, an offline node, urgent
+  // drains). The digests and lengths were recorded before the decision
+  // reasons became typed, so they hold the rendered text byte for byte.
+  apps::KvCacheConfig config = small_kvcache();
+  config.declared_value_bytes = 8 * kGiB;
+  config.segments = 16;
+  config.threads = 2;
+  config.phases = 48;
+  KvBed bed(config);
+  ASSERT_TRUE(bed.ok);
+  bed.allocator.set_retry_policy({.max_transient_retries = 8});
+
+  tenant::TenantRegistry tenants;
+  bed.allocator.set_tenant_registry(&tenants);
+  auto front = tenants.register_tenant("kv.front", tenant::Priority::kCritical);
+  auto batch = tenants.register_tenant("kv.batch", tenant::Priority::kNormal);
+  ASSERT_TRUE(front.ok() && batch.ok());
+  const std::uint64_t segment_bytes =
+      config.declared_value_bytes / config.segments;
+  for (unsigned segment = 0; segment < config.segments; ++segment) {
+    ASSERT_TRUE(bed.allocator
+                    .adopt_tenant_charge(bed.runner->segment_buffer(segment),
+                                         segment % 2 == 0 ? *front : *batch,
+                                         segment_bytes)
+                    .ok());
+  }
+  tenant::GlobalArbiter arbiter(tenants);
+
+  runtime::RuntimePolicyOptions options = phase_policy_options();
+  options.engine.epoch_budget_bytes = 3 * segment_bytes;
+  runtime::RuntimePolicy policy(bed.allocator, bed.initiator, options);
+  policy.mutable_engine().set_arbiter(&arbiter);
+  fault::FaultInjector injector = fault::FaultInjector::preset("heavy", 4242);
+  policy.add_epoch_hook([&](std::uint64_t epoch, unsigned) {
+    if (epoch == 6) {
+      EXPECT_TRUE(bed.machine.set_node_degraded(bed.slow, true).ok());
+    }
+    if (epoch == 14) {
+      EXPECT_TRUE(bed.machine.set_node_degraded(bed.slow, false).ok());
+    }
+    if (epoch == 24) bed.machine.set_fault_injector(&injector);
+    return 0.0;
+  });
+  health::HealthMonitor monitor(bed.machine, bed.registry);
+  health::Evacuator evacuator(bed.allocator, policy.mutable_engine(),
+                              bed.initiator);
+  health::attach_health(policy, monitor, evacuator);
+  policy.attach(bed.runner->exec(), [&] { bed.runner->refresh_arrays(); });
+
+  auto result = bed.runner->run();
+  bed.machine.set_fault_injector(nullptr);
+  ASSERT_TRUE(result.ok()) << result.error().to_string();
+
+  // The run reaches every verdict but the engine's rejected:no-target (the
+  // HMAT always ranks some target) and rejected:budget (with an arbiter
+  // installed, a tenant's slice runs out before the shared pool does).
+  std::set<runtime::Verdict> engine_verdicts;
+  for (const runtime::Decision& decision : policy.decisions()) {
+    engine_verdicts.insert(decision.verdict);
+  }
+  for (runtime::Verdict verdict :
+       {runtime::Verdict::kAccepted, runtime::Verdict::kEvicted,
+        runtime::Verdict::kRejectedCapacity,
+        runtime::Verdict::kRejectedNoBenefit,
+        runtime::Verdict::kRejectedBreakeven,
+        runtime::Verdict::kRejectedTenantShare,
+        runtime::Verdict::kFailedMigrate}) {
+    EXPECT_EQ(engine_verdicts.count(verdict), 1u)
+        << runtime::verdict_name(verdict);
+  }
+  std::set<health::EvacVerdict> evacuator_verdicts;
+  for (const health::EvacDecision& decision : evacuator.decisions()) {
+    evacuator_verdicts.insert(decision.verdict);
+  }
+  for (health::EvacVerdict verdict :
+       {health::EvacVerdict::kMoved, health::EvacVerdict::kSkippedCold,
+        health::EvacVerdict::kRejectedBreakeven,
+        health::EvacVerdict::kRejectedNoTarget,
+        health::EvacVerdict::kDeferredBudget,
+        health::EvacVerdict::kDeferredTenantShare,
+        health::EvacVerdict::kFailedMigrate}) {
+    EXPECT_EQ(evacuator_verdicts.count(verdict), 1u)
+        << health::evac_verdict_name(verdict);
+  }
+
+  const std::string engine_log = policy.render_decision_log();
+  EXPECT_EQ(engine_log.size(), 13228u);
+  EXPECT_EQ(fnv1a64(engine_log), 0x26a3de3568d17389ull) << engine_log;
+  const std::string evacuator_log = evacuator.render_log();
+  EXPECT_EQ(evacuator_log.size(), 33690u);
+  EXPECT_EQ(fnv1a64(evacuator_log), 0x4458961ea0872632ull) << evacuator_log;
 }
 
 }  // namespace

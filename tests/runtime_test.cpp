@@ -503,7 +503,7 @@ TEST_F(MigrationEngineTest, EvictsColdBufferToMakeRoom) {
     if (decision.verdict == runtime::Verdict::kEvicted) {
       EXPECT_EQ(decision.buffer.index, cold->index);
       EXPECT_EQ(decision.from_node, 0u);
-      EXPECT_NE(decision.reason.find("hot"), std::string::npos);
+      EXPECT_NE(decision.reason.to_string().find("hot"), std::string::npos);
       eviction_logged = true;
     }
   }

@@ -16,17 +16,20 @@
 #include "hetmem/memattr/memattr.hpp"
 #include "hetmem/runtime/engine.hpp"
 #include "hetmem/simmem/machine.hpp"
+#include "hetmem/support/backoff.hpp"
 #include "hetmem/support/units.hpp"
 #include "hetmem/tenant/arbiter.hpp"
-#include "hetmem/tenant/backoff.hpp"
 #include "hetmem/topo/presets.hpp"
 
 namespace hetmem::tenant {
 namespace {
 
+using support::Backoff;
+using support::BackoffOptions;
 using support::Errc;
 using support::kGiB;
 using support::kMiB;
+using support::parse_retry_after_ms;
 
 // ---------------------------------------------------------------------------
 // TenantRegistry lifecycle
