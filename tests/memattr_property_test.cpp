@@ -8,6 +8,7 @@
 #include <cmath>
 #include <iterator>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,11 +19,10 @@
 namespace hetmem::attr {
 namespace {
 
-class AttrConsistencyTest
-    : public ::testing::TestWithParam<topo::NamedTopology> {
+class PresetAttrs {
  protected:
-  void SetUp() override {
-    topology_ = std::make_unique<topo::Topology>(GetParam().factory());
+  void load(const topo::NamedTopology& preset) {
+    topology_ = std::make_unique<topo::Topology>(preset.factory());
     registry_ = std::make_unique<MemAttrRegistry>(*topology_);
     // Fully populated HMAT (local + remote) so per-initiator attributes have
     // values everywhere.
@@ -35,6 +35,24 @@ class AttrConsistencyTest
 
   std::unique_ptr<topo::Topology> topology_;
   std::unique_ptr<MemAttrRegistry> registry_;
+};
+
+class AttrConsistencyTest
+    : public ::testing::TestWithParam<topo::NamedTopology>,
+      protected PresetAttrs {
+ protected:
+  void SetUp() override { load(GetParam()); }
+};
+
+// Keyed by preset index, as in chaos_test: gtest prints a NamedTopology
+// parameter as its pointer bytes, which move under ASLR, so a test keyed by
+// one gets a new ctest name at every test discovery.
+class AttrRankingTest : public ::testing::TestWithParam<int>,
+                        protected PresetAttrs {
+ protected:
+  void SetUp() override {
+    load(topo::all_presets()[static_cast<std::size_t>(GetParam())]);
+  }
 };
 
 TEST_P(AttrConsistencyTest, BestTargetIsExtremumOfValuesOverLocalTargets) {
@@ -75,7 +93,7 @@ TEST_P(AttrConsistencyTest, BestTargetIsExtremumOfValuesOverLocalTargets) {
   }
 }
 
-TEST_P(AttrConsistencyTest, RankingIsMonotone) {
+TEST_P(AttrRankingTest, RankingIsMonotone) {
   for (const topo::Object* locality_node : topology_->numa_nodes()) {
     if (locality_node->cpuset().empty()) continue;
     const auto initiator = Initiator::from_cpuset(locality_node->cpuset());
@@ -143,6 +161,14 @@ INSTANTIATE_TEST_SUITE_P(
     AllPresets, AttrConsistencyTest, ::testing::ValuesIn(topo::all_presets()),
     [](const ::testing::TestParamInfo<topo::NamedTopology>& info) {
       return info.param.name;
+    });
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPresets, AttrRankingTest,
+    ::testing::Range(0, static_cast<int>(topo::all_presets().size())),
+    [](const ::testing::TestParamInfo<int>& info) {
+      return std::string(
+          topo::all_presets()[static_cast<std::size_t>(info.param)].name);
     });
 
 // Eq. 1-3 of the paper: the advertised orderings per platform.
