@@ -109,7 +109,7 @@ int hetmem_memattr_get_value(const hetmem_context* ctx, int attr,
                              unsigned node, const char* initiator,
                              double* value);
 
-/* hwloc_memattr_get_best_target: *node/*value receive the winner. */
+/* hwloc_memattr_get_best_target: *node and *value receive the winner. */
 int hetmem_memattr_get_best_target(const hetmem_context* ctx, int attr,
                                    const char* initiator, unsigned* node,
                                    double* value);

@@ -2,9 +2,10 @@
 //
 // When the HealthMonitor quarantines or offlines a node, its live buffers
 // are stranded on failing hardware. The Evacuator drains them through the
-// MigrationEngine's per-epoch byte budget (evacuation and optimization
-// migrations share one pool — the paper's §VII "migration should likely be
-// avoided" knob caps BOTH), most critical buffers first:
+// engine's MigrationBroker (evacuation, optimization and power migrations
+// share one per-epoch pool — the paper's §VII "migration should likely be
+// avoided" knob caps them all, and a failed move is refunded), most
+// critical buffers first:
 //   1. classifier-committed latency-sensitive buffers,
 //   2. bandwidth-sensitive buffers,
 //   3. insensitive / untracked buffers,
@@ -44,8 +45,6 @@ namespace hetmem::health {
 struct EvacuatorOptions {
   /// Break-even horizon for quarantined drains (offline drains skip it).
   double expected_future_epochs = 10.0;
-  /// MLP assumed by the shared TrafficCostModel.
-  double mlp = 6.0;
   /// Effective slowdown of a quarantined node in the benefit model: the
   /// source cost is multiplied by this before comparing against the
   /// destination, representing the degraded regime (ECC storms, media
@@ -88,7 +87,7 @@ struct EvacuatorStats {
 
 class Evacuator {
  public:
-  /// Shares `engine`'s per-epoch byte budget; `initiator` anchors locality
+  /// Moves through `engine`'s MigrationBroker; `initiator` anchors locality
   /// for destination rankings (normally the workload's cpuset, same as the
   /// engine's). All references must outlive the evacuator.
   Evacuator(alloc::HeterogeneousAllocator& allocator,
@@ -140,7 +139,7 @@ class Evacuator {
            runtime::DecisionReason reason);
 
   alloc::HeterogeneousAllocator* allocator_;
-  runtime::MigrationEngine* engine_;
+  runtime::MigrationBroker* broker_;
   support::Bitmap initiator_;
   /// Per node (logical index): is the initiator local to it? Fixed for the
   /// evacuator's lifetime, like the topology and the initiator.

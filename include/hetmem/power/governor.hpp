@@ -9,9 +9,10 @@
 //   enforcing   cap set, draw <= cap — streaks reset, nothing migrates;
 //   draining    draw > cap — the worst-draw node with live buffers is the
 //               offender; its buffers drain toward the most energy-efficient
-//               targets with room, through the SAME tenant-arbitrated
-//               per-epoch byte budget the MigrationEngine and the health
-//               Evacuator share (power never gets a private migration lane);
+//               targets with room, through the engine's MigrationBroker —
+//               the SAME tenant-arbitrated per-epoch byte pool the engine
+//               and the health Evacuator charge (power never gets a private
+//               migration lane);
 //   throttling  a node stays the offender for throttle_after_epochs
 //               consecutive over-cap epochs — each further epoch reports a
 //               thermal-throttle event into SimMachine telemetry, which the
@@ -87,8 +88,8 @@ struct GovernorStats {
 
 class PowerGovernor {
  public:
-  /// The engine supplies the shared per-epoch byte budget and tenant
-  /// arbitration; both must outlive the governor.
+  /// Moves through `engine`'s MigrationBroker (the shared per-epoch pool
+  /// and tenant slices); the allocator and engine must outlive the governor.
   PowerGovernor(alloc::HeterogeneousAllocator& allocator,
                 runtime::MigrationEngine& engine, support::Bitmap initiator,
                 GovernorOptions options = {});
@@ -142,7 +143,7 @@ class PowerGovernor {
   [[nodiscard]] unsigned pick_offender() const;
 
   alloc::HeterogeneousAllocator* allocator_;
-  runtime::MigrationEngine* engine_;
+  runtime::MigrationBroker* broker_;
   support::Bitmap initiator_;
   GovernorOptions options_;
   std::vector<unsigned> over_streak_;  // per node, consecutive offender epochs

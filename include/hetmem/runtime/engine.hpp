@@ -17,6 +17,12 @@
 // first); eviction bytes count against the same budget and their cost
 // against the same break-even gate.
 //
+// The engine owns the MigrationBroker (runtime/broker.hpp) that charges
+// every move against the per-epoch pool and the tenant slices; the health
+// Evacuator and the power Governor reach it through broker(). A promotion
+// and its evictions share one reservation, and bytes that did not move are
+// refunded when it settles.
+//
 // Every considered move is logged as a Decision with a verdict and a typed
 // reason (runtime/reason.hpp), rendered to text only on demand — an
 // observability surface (render_decision_log() is byte-stable for a fixed
@@ -34,9 +40,9 @@
 
 #include "hetmem/alloc/advisor.hpp"
 #include "hetmem/alloc/allocator.hpp"
+#include "hetmem/runtime/broker.hpp"
 #include "hetmem/runtime/classifier.hpp"
 #include "hetmem/runtime/reason.hpp"
-#include "hetmem/tenant/arbiter.hpp"
 
 namespace hetmem::runtime {
 
@@ -47,8 +53,6 @@ struct EngineOptions {
   /// Break-even horizon: a move must amortize within this many epochs of its
   /// estimated per-epoch benefit.
   double expected_future_epochs = 10.0;
-  /// MLP assumed by the shared TrafficCostModel.
-  double mlp = 6.0;
   /// Allow evicting committed-insensitive buffers to make room.
   bool allow_evictions = true;
 };
@@ -116,48 +120,26 @@ class MigrationEngine {
   }
   [[nodiscard]] const EngineOptions& options() const { return options_; }
 
-  // --- shared per-epoch byte budget ---
-  //
-  // The health Evacuator drains failing nodes through the SAME per-epoch
-  // pool run_epoch draws from, so evacuation and optimization migrations
-  // jointly respect epoch_budget_bytes. The first draw (or run_epoch) for a
-  // new epoch_index resets the pool; externally synchronized like the rest
-  // of the engine — one epoch loop drives both consumers.
+  /// The per-epoch pool of epoch_budget_bytes that every mover — this
+  /// engine, the health Evacuator, the power Governor — charges its moves
+  /// against.
+  [[nodiscard]] MigrationBroker& broker() { return broker_; }
 
-  /// Bytes still available to migrate in `epoch_index`.
-  [[nodiscard]] std::uint64_t budget_remaining(std::uint64_t epoch_index);
-  /// Draws `bytes` from the epoch's pool; false (and no draw) when the
-  /// remaining budget is smaller.
-  bool consume_budget(std::uint64_t epoch_index, std::uint64_t bytes);
-
-  // --- per-tenant arbitration (docs/TENANCY.md) ---
-  //
-  // With an arbiter installed, the epoch budget pool is additionally carved
-  // into per-tenant slices (priority- and deficit-weighted) when each epoch
-  // opens, and every migration — the engine's own and the Evacuator's —
-  // must draw its bytes from the owning tenant's slice before touching the
-  // shared pool. Untenanted buffers bypass the slices entirely.
-
-  /// Installs the arbiter (setup-time, like the rest of the engine's
-  /// configuration; nullptr detaches). Must outlive the engine.
-  void set_arbiter(tenant::GlobalArbiter* arbiter) { arbiter_ = arbiter; }
-  [[nodiscard]] tenant::GlobalArbiter* arbiter() const { return arbiter_; }
-
-  /// Draws `bytes` from the slice of the tenant owning `buffer`. True when
-  /// no arbiter is installed, the buffer is untenanted, or the slice covers
-  /// the draw; false records the denial (feeding next epoch's deficit
-  /// boost) and leaves the shared pool untouched.
-  bool tenant_draw(std::uint64_t epoch_index, sim::BufferId buffer,
-                   std::uint64_t bytes);
+  /// Installs the arbiter that carves the pool into per-tenant slices
+  /// (docs/TENANCY.md; setup-time, nullptr detaches). Must outlive the
+  /// engine.
+  void set_arbiter(tenant::GlobalArbiter* arbiter) {
+    broker_.set_arbiter(arbiter);
+  }
 
   /// Deterministic text rendering of the full decision history.
   [[nodiscard]] std::string render_decision_log() const;
 
   // --- snapshot/restore hooks (src/recover, docs/RECOVERY.md) ---
 
-  /// Overlays the cumulative statistics and budget watermark. The budget
-  /// pool itself is not restored: run_epoch re-opens it per epoch index, and
-  /// a restored run resumes at the NEXT epoch, which resets it anyway.
+  /// Overlays the cumulative statistics and budget watermark. The broker's
+  /// pool is not restored: it refills per epoch index, and a restored run
+  /// resumes at the NEXT epoch, which refills it anyway.
   void restore_stats(const EngineStats& stats, std::uint64_t max_epoch_bytes) {
     stats_ = stats;
     max_epoch_bytes_ = max_epoch_bytes;
@@ -182,9 +164,6 @@ class MigrationEngine {
     double benefit_per_epoch_ns = 0.0;
   };
 
-  /// Resets the budget pool when `epoch_index` opens a new epoch.
-  void ensure_epoch(std::uint64_t epoch_index);
-
   void log(std::uint64_t epoch, sim::BufferId buffer, Verdict verdict,
            const Candidate* candidate, double cost_ns, DecisionReason reason);
   [[nodiscard]] double node_traffic_cost_ns(
@@ -197,14 +176,11 @@ class MigrationEngine {
   /// engine's lifetime, like the topology and the initiator.
   std::vector<bool> local_;
   EngineOptions options_;
-  tenant::GlobalArbiter* arbiter_ = nullptr;
+  MigrationBroker broker_;
   std::string log_prefix_;  // restored pre-crash narrative (restore_log_prefix)
   std::vector<Decision> decisions_;
   EngineStats stats_;
   std::uint64_t max_epoch_bytes_ = 0;
-  // Epoch-keyed shared budget pool (see budget_remaining/consume_budget).
-  std::uint64_t budget_epoch_ = UINT64_MAX;
-  std::uint64_t budget_left_ = 0;
 };
 
 }  // namespace hetmem::runtime

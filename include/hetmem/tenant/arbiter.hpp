@@ -1,10 +1,11 @@
 // GlobalArbiter — cross-tenant arbitration of the migration byte budget.
 //
-// The MigrationEngine and the health Evacuator already share one per-epoch
-// byte pool (the paper's §VII migration-avoidance knob). Without tenancy
-// that pool is first-come-first-served: one tenant's evacuation burst or
-// promotion storm can starve every other tenant's moves for the epoch. The
-// arbiter subdivides the pool into per-tenant slices weighted by
+// The MigrationEngine, the health Evacuator and the power Governor share one
+// per-epoch byte pool (the paper's §VII migration-avoidance knob), charged
+// only through runtime::MigrationBroker. Without tenancy that pool is
+// first-come-first-served: one tenant's evacuation burst or promotion storm
+// can starve every other tenant's moves for the epoch. The arbiter
+// subdivides the pool into per-tenant slices weighted by
 //
 //     priority_weight(priority) * quota.share_weight * deficit_boost
 //
@@ -14,12 +15,14 @@
 // are governed only by the engine's global pool), so the classic
 // single-application mode is unchanged.
 //
-// Denial is deferral, not loss: both budget consumers are level-triggered
-// and retry every epoch, so a denied move simply waits for a fatter slice.
+// Denial is deferral, not loss: every mover is level-triggered and retries
+// each epoch, so a denied move simply waits for a fatter slice. A granted
+// move that then fails is refunded, so a slice is only ever spent on bytes
+// that moved.
 //
 // Thread safety (docs/CONCURRENCY.md): externally synchronized — the same
-// single epoch loop that drives MigrationEngine::run_epoch and
-// Evacuator::drain_epoch drives begin_epoch/try_draw.
+// single epoch loop that drives the movers drives begin_epoch, try_draw and
+// refund.
 #pragma once
 
 #include <cstdint>
@@ -84,6 +87,11 @@ class GlobalArbiter {
   /// tenants that were present when the pool was split. A draw against a
   /// stale epoch index lazily reopens with the previous pool size.
   bool try_draw(std::uint64_t epoch_index, TenantId id, std::uint64_t bytes);
+
+  /// Gives back `bytes` of a grant to `id` in `epoch_index` that did not
+  /// move (runtime::MigrationBroker settling a failed move): they leave
+  /// bytes_granted and, while that epoch is open, the tenant's slice.
+  void refund(std::uint64_t epoch_index, TenantId id, std::uint64_t bytes);
 
   [[nodiscard]] std::uint64_t slice_remaining(TenantId id) const;
   [[nodiscard]] const std::vector<ArbiterSlice>& slices() const {

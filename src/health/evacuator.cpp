@@ -35,7 +35,7 @@ Evacuator::Evacuator(alloc::HeterogeneousAllocator& allocator,
                      runtime::MigrationEngine& engine, support::Bitmap initiator,
                      EvacuatorOptions options)
     : allocator_(&allocator),
-      engine_(&engine),
+      broker_(&engine.broker()),
       initiator_(std::move(initiator)),
       options_(options) {
   for (const topo::Object* node : allocator_->machine().topology().numa_nodes()) {
@@ -89,7 +89,7 @@ double Evacuator::drain_epoch(std::uint64_t epoch_index, unsigned node,
   sim::SimMachine& machine = allocator_->machine();
   const attr::MemAttrRegistry& registry = allocator_->registry();
   const QuarantineList* quarantine = registry.quarantine_list();
-  const alloc::TrafficCostModel model{options_.mlp, threads};
+  const alloc::TrafficCostModel model{.threads = threads};
 
   auto node_cost_ns = [&](unsigned target, std::uint64_t declared_bytes,
                           const sim::BufferTraffic& traffic) {
@@ -239,29 +239,27 @@ double Evacuator::drain_epoch(std::uint64_t epoch_index, unsigned node,
       }
     }
 
-    // Budget gate: evacuation draws from the engine's per-epoch pool, so a
-    // drain burst cannot blow past the paper's migration-avoidance knob. An
-    // offline node's remaining buffers simply retry next epoch.
-    const std::uint64_t budget_left = engine_->budget_remaining(epoch_index);
-    if (budget_left < bytes) {
+    // Budget gates: evacuation reserves from the engine's per-epoch pool, so
+    // a drain burst cannot blow past the paper's migration-avoidance knob,
+    // and from the owning tenant's slice, so it cannot starve the other
+    // tenants either. A refused buffer retries next epoch.
+    runtime::MigrationBroker::Reservation reservation =
+        broker_->reserve(epoch_index, item.buffer, bytes);
+    if (reservation.refusal() == runtime::Refusal::kBudget) {
       log(epoch_index, node, destination, item.buffer,
           EvacVerdict::kDeferredBudget, cost_ns,
           {.code = ReasonCode::kBudget, .bytes = bytes,
-           .budget_left = budget_left});
+           .budget_left = broker_->remaining(epoch_index)});
       continue;
     }
-    // Arbiter gate: with per-tenant slices in force, a drain burst for one
-    // tenant cannot starve the others' migration shares either — the drained
-    // bytes come out of the owning tenant's slice, and a denial defers the
-    // buffer to the next epoch exactly like the shared-pool gate above.
-    if (!engine_->tenant_draw(epoch_index, item.buffer, bytes)) {
+    if (reservation.refusal() == runtime::Refusal::kTenantShare) {
       log(epoch_index, node, destination, item.buffer,
           EvacVerdict::kDeferredTenantShare, cost_ns,
           {.code = ReasonCode::kTenantShare, .bytes = bytes});
       continue;
     }
 
-    auto result = allocator_->migrate(item.buffer, destination);
+    auto result = reservation.move(item.buffer, destination);
     if (!result.ok()) {
       log(epoch_index, node, destination, item.buffer,
           EvacVerdict::kFailedMigrate, 0.0,
@@ -270,7 +268,6 @@ double Evacuator::drain_epoch(std::uint64_t epoch_index, unsigned node,
       continue;
     }
     paid_ns += *result;
-    (void)engine_->consume_budget(epoch_index, bytes);
     if (item.tracked && classifier != nullptr) {
       const sim::BufferTraffic& moved_traffic =
           classifier->states()[item.buffer.index].ema;

@@ -24,7 +24,7 @@ PowerGovernor::PowerGovernor(alloc::HeterogeneousAllocator& allocator,
                              runtime::MigrationEngine& engine,
                              support::Bitmap initiator, GovernorOptions options)
     : allocator_(&allocator),
-      engine_(&engine),
+      broker_(&engine.broker()),
       initiator_(std::move(initiator)),
       options_(options),
       over_streak_(allocator.machine().topology().numa_nodes().size(), 0) {}
@@ -156,20 +156,21 @@ double PowerGovernor::run_epoch(std::uint64_t epoch_index, unsigned threads) {
           "no energy-ranked target has room");
       break;
     }
-    if (!engine_->tenant_draw(epoch_index, buffer, info.declared_bytes)) {
-      log(epoch_index, offender, buffer, info.label, destination,
-          info.declared_bytes, PowerVerdict::kTenantDenied,
-          "tenant slice exhausted");
-      continue;
-    }
-    if (!engine_->consume_budget(epoch_index, info.declared_bytes)) {
+    runtime::MigrationBroker::Reservation reservation =
+        broker_->reserve(epoch_index, buffer, info.declared_bytes);
+    if (reservation.refusal() == runtime::Refusal::kBudget) {
       log(epoch_index, offender, buffer, info.label, destination,
           info.declared_bytes, PowerVerdict::kBudgetExhausted,
           "shared epoch budget exhausted");
       break;
     }
-    const support::Result<double> cost =
-        allocator_->migrate(buffer, destination);
+    if (reservation.refusal() == runtime::Refusal::kTenantShare) {
+      log(epoch_index, offender, buffer, info.label, destination,
+          info.declared_bytes, PowerVerdict::kTenantDenied,
+          "tenant slice exhausted");
+      continue;
+    }
+    const support::Result<double> cost = reservation.move(buffer, destination);
     if (!cost.ok()) {
       log(epoch_index, offender, buffer, info.label, destination,
           info.declared_bytes, PowerVerdict::kFailedMigrate,

@@ -110,49 +110,17 @@ MigrationEngine::MigrationEngine(alloc::HeterogeneousAllocator& allocator,
                                  EngineOptions options)
     : allocator_(&allocator),
       initiator_(std::move(initiator)),
-      options_(options) {
+      options_(options),
+      broker_(allocator, options.epoch_budget_bytes) {
   for (const topo::Object* node : allocator_->machine().topology().numa_nodes()) {
     local_.push_back(initiator_.is_subset_of(node->cpuset()));
   }
 }
 
-void MigrationEngine::ensure_epoch(std::uint64_t epoch_index) {
-  if (budget_epoch_ == epoch_index) return;
-  budget_epoch_ = epoch_index;
-  budget_left_ = options_.epoch_budget_bytes;
-  if (arbiter_ != nullptr) {
-    arbiter_->begin_epoch(epoch_index, options_.epoch_budget_bytes);
-  }
-}
-
-bool MigrationEngine::tenant_draw(std::uint64_t epoch_index,
-                                  sim::BufferId buffer, std::uint64_t bytes) {
-  if (arbiter_ == nullptr) return true;
-  ensure_epoch(epoch_index);
-  const tenant::TenantHandle owner = allocator_->tenant_of(buffer);
-  const tenant::TenantId id = owner != nullptr ? owner->id() : tenant::kNoTenant;
-  return arbiter_->try_draw(epoch_index, id, bytes);
-}
-
-std::uint64_t MigrationEngine::budget_remaining(std::uint64_t epoch_index) {
-  ensure_epoch(epoch_index);
-  return budget_left_;
-}
-
-bool MigrationEngine::consume_budget(std::uint64_t epoch_index,
-                                     std::uint64_t bytes) {
-  ensure_epoch(epoch_index);
-  if (bytes > budget_left_) return false;
-  // An unlimited budget never depletes (UINT64_MAX is the documented
-  // "unlimited" sentinel, not a real pool size).
-  if (budget_left_ != UINT64_MAX) budget_left_ -= bytes;
-  return true;
-}
-
 double MigrationEngine::node_traffic_cost_ns(
     unsigned node, std::uint64_t declared_bytes,
     const sim::BufferTraffic& traffic, unsigned threads) const {
-  const alloc::TrafficCostModel model{options_.mlp, threads};
+  const alloc::TrafficCostModel model{.threads = threads};
   return model.cost_ns(allocator_->machine(), node, declared_bytes,
                        local_[node], traffic);
 }
@@ -293,10 +261,10 @@ double MigrationEngine::run_epoch(std::uint64_t epoch_index,
                    });
 
   // Phase 2: apply under the gates, biggest modeled benefit first. The
-  // budget pool is the epoch-keyed member shared with the health Evacuator:
-  // evacuation bytes spent earlier in this epoch shrink what optimization
-  // moves may spend, and vice versa.
-  ensure_epoch(epoch_index);
+  // broker's pool is shared with the health Evacuator and the power
+  // Governor: bytes they move earlier in this epoch shrink what
+  // optimization moves may spend, and vice versa.
+  broker_.open(epoch_index);
   std::uint64_t epoch_bytes = 0;
   double paid_ns = 0.0;
   std::vector<PlannedEviction> evictions;
@@ -353,17 +321,20 @@ double MigrationEngine::run_epoch(std::uint64_t epoch_index,
            .horizon = options_.expected_future_epochs});
       continue;
     }
-    if (move_bytes > budget_left_) {
+    // The whole move (promotion + its evictions) is reserved at once and
+    // charged to the promoted buffer's tenant — evictions happen on its
+    // behalf. What does not move is refunded when the reservation settles.
+    MigrationBroker::Reservation reservation =
+        broker_.reserve(epoch_index, candidate.buffer, move_bytes);
+    if (reservation.refusal() == Refusal::kBudget) {
       log(epoch_index, candidate.buffer, Verdict::kRejectedBudget, &candidate,
           cost_ns,
           {.code = ReasonCode::kBudget,
            .bytes = move_bytes,
-           .budget_left = budget_left_});
+           .budget_left = broker_.remaining(epoch_index)});
       continue;
     }
-    // Arbiter gate: the whole move (promotion + its evictions) is charged to
-    // the promoted buffer's tenant — evictions happen on its behalf.
-    if (!tenant_draw(epoch_index, candidate.buffer, move_bytes)) {
+    if (reservation.refusal() == Refusal::kTenantShare) {
       log(epoch_index, candidate.buffer, Verdict::kRejectedTenantShare,
           &candidate, cost_ns,
           {.code = ReasonCode::kTenantShare, .bytes = move_bytes});
@@ -379,7 +350,7 @@ double MigrationEngine::run_epoch(std::uint64_t epoch_index,
       as_candidate.to_node = eviction.to_node;
       as_candidate.sensitivity = prof::Sensitivity::kInsensitive;
       const unsigned victim_from = machine.residency(eviction.buffer).node;
-      auto result = allocator_->migrate(eviction.buffer, eviction.to_node);
+      auto result = reservation.move(eviction.buffer, eviction.to_node);
       victims.mark_stale();
       if (!result.ok()) {
         log(epoch_index, eviction.buffer, Verdict::kFailedMigrate,
@@ -390,7 +361,6 @@ double MigrationEngine::run_epoch(std::uint64_t epoch_index,
         break;
       }
       paid_ns += *result;
-      (void)consume_budget(epoch_index, eviction.bytes);
       epoch_bytes += eviction.bytes;
       stats_.migrated_bytes += eviction.bytes;
       stats_.migration_cost_ns += *result;
@@ -406,7 +376,7 @@ double MigrationEngine::run_epoch(std::uint64_t epoch_index,
       continue;
     }
 
-    auto result = allocator_->migrate(candidate.buffer, candidate.to_node);
+    auto result = reservation.move(candidate.buffer, candidate.to_node);
     victims.mark_stale();
     if (!result.ok()) {
       log(epoch_index, candidate.buffer, Verdict::kFailedMigrate, &candidate,
@@ -416,7 +386,6 @@ double MigrationEngine::run_epoch(std::uint64_t epoch_index,
       continue;
     }
     paid_ns += *result;
-    (void)consume_budget(epoch_index, residency.declared_bytes);
     epoch_bytes += residency.declared_bytes;
     stats_.migrated_bytes += residency.declared_bytes;
     stats_.migration_cost_ns += *result;

@@ -94,6 +94,17 @@ bool GlobalArbiter::try_draw(std::uint64_t epoch_index, TenantId id,
   return true;
 }
 
+void GlobalArbiter::refund(std::uint64_t epoch_index, TenantId id,
+                           std::uint64_t bytes) {
+  stats_.bytes_granted -= std::min(bytes, stats_.bytes_granted);
+  if (epoch_ != epoch_index) return;
+  for (ArbiterSlice& slice : slices_) {
+    if (slice.id != id) continue;
+    slice.granted_bytes -= std::min(bytes, slice.granted_bytes);
+    return;
+  }
+}
+
 std::uint64_t GlobalArbiter::slice_remaining(TenantId id) const {
   for (const ArbiterSlice& slice : slices_) {
     if (slice.id != id) continue;

@@ -92,7 +92,9 @@ TEST(AdaptiveSampler, PeriodMonotoneUnderSustainedPressure) {
   const double expected[] = {1, 2, 4, 8, 16, 32, 64, 64, 64, 64};
   for (std::size_t e = 0; e < periods.size(); ++e) {
     EXPECT_EQ(periods[e], expected[e]) << "epoch " << e;
-    if (e > 0) EXPECT_GE(periods[e], periods[e - 1]);
+    if (e > 0) {
+      EXPECT_GE(periods[e], periods[e - 1]);
+    }
     EXPECT_LE(periods[e], options.max_sample_period);
     // Every epoch carries the period that sampled it.
     EXPECT_EQ(epochs[e].sample_period, periods[e]);

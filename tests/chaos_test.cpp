@@ -206,14 +206,14 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Range(0, static_cast<int>(topo::all_presets().size())),
         ::testing::Values(101, 202, 303)),
-    [](const ::testing::TestParamInfo<ChaosTest::ParamType>& info) {
-      std::string name =
-          topo::all_presets()[static_cast<std::size_t>(std::get<0>(info.param))]
-              .name;
+    [](const ::testing::TestParamInfo<ChaosTest::ParamType>& param_info) {
+      const auto preset =
+          static_cast<std::size_t>(std::get<0>(param_info.param));
+      std::string name = topo::all_presets()[preset].name;
       for (char& c : name) {
         if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
       }
-      return name + "_seed" + std::to_string(std::get<1>(info.param));
+      return name + "_seed" + std::to_string(std::get<1>(param_info.param));
     });
 
 // The determinism contract: the same seed must reproduce the exact fault

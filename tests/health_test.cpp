@@ -592,7 +592,7 @@ TEST_F(EvacuatorTest, DrainSharesEngineBudgetAndRetriesNextEpoch) {
   evacuator.drain_epoch(0, slow, health::HealthState::kOffline, 4);
   EXPECT_EQ(evacuator.stats().moved, 1u);
   EXPECT_EQ(evacuator.stats().deferred, 1u);
-  EXPECT_EQ(tight.budget_remaining(0), 0u);
+  EXPECT_EQ(tight.broker().remaining(0), 0u);
 
   // Level-triggered: the deferred buffer drains when the next epoch's
   // budget opens.

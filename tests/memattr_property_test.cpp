@@ -159,16 +159,16 @@ TEST_P(AttrConsistencyTest, BestInitiatorConsistentWithStoredValues) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllPresets, AttrConsistencyTest, ::testing::ValuesIn(topo::all_presets()),
-    [](const ::testing::TestParamInfo<topo::NamedTopology>& info) {
-      return info.param.name;
+    [](const ::testing::TestParamInfo<topo::NamedTopology>& param_info) {
+      return param_info.param.name;
     });
 
 INSTANTIATE_TEST_SUITE_P(
     AllPresets, AttrRankingTest,
     ::testing::Range(0, static_cast<int>(topo::all_presets().size())),
-    [](const ::testing::TestParamInfo<int>& info) {
+    [](const ::testing::TestParamInfo<int>& param_info) {
       return std::string(
-          topo::all_presets()[static_cast<std::size_t>(info.param)].name);
+          topo::all_presets()[static_cast<std::size_t>(param_info.param)].name);
     });
 
 // Eq. 1-3 of the paper: the advertised orderings per platform.

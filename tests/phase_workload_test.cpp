@@ -1,8 +1,9 @@
 // Phase-shifting KV-cache workload against the online runtime: checksum
 // determinism under migration, rotation-driven promote/evict cycles, trace
 // replay of a live run, refresh_arrays() coverage across every registered
-// app runner, and the cross-scenario budget invariant when phase-driven
-// migrations and health evacuation share one epoch budget.
+// app runner, the cross-scenario budget invariant when phase-driven
+// migrations and health evacuation share one epoch budget, and exact
+// charges when the engine, the evacuator and the governor see failed moves.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -23,6 +24,8 @@
 #include "hetmem/health/evacuator.hpp"
 #include "hetmem/health/health.hpp"
 #include "hetmem/hmat/hmat.hpp"
+#include "hetmem/power/governor.hpp"
+#include "hetmem/power/power.hpp"
 #include "hetmem/runtime/policy.hpp"
 #include "hetmem/support/units.hpp"
 #include "hetmem/tenant/arbiter.hpp"
@@ -451,6 +454,168 @@ TEST(KvCachePhaseChaosTest, EvacuationAndPhaseMigrationsShareEpochBudget) {
 }
 
 
+TEST(KvCachePhaseChaosTest, ChargesMatchMovedBytesUnderMigrateFaults) {
+  // All three movers share one pool split between two tenants, while
+  // migrations fail at random and, for a few epochs, all of them. Every
+  // epoch, the bytes charged to the pool and to each tenant's slice must be
+  // exactly the bytes the decision logs say moved: a failed move keeps no
+  // charge, and an eviction is charged to the tenant whose promotion needed
+  // the room.
+  apps::KvCacheConfig config = small_kvcache();
+  config.declared_value_bytes = 8 * kGiB;
+  config.segments = 16;
+  config.threads = 2;
+  config.phases = 48;
+  KvBed bed(config);
+  ASSERT_TRUE(bed.ok);
+  ASSERT_TRUE(power::feed_registry(bed.registry, bed.machine).ok());
+
+  tenant::TenantRegistry tenants;
+  bed.allocator.set_tenant_registry(&tenants);
+  auto front = tenants.register_tenant("kv.front", tenant::Priority::kCritical);
+  auto batch = tenants.register_tenant("kv.batch", tenant::Priority::kNormal);
+  ASSERT_TRUE(front.ok() && batch.ok());
+  const std::uint64_t segment_bytes =
+      config.declared_value_bytes / config.segments;
+  std::map<std::string, tenant::TenantId> tenant_of_label;
+  for (unsigned segment = 0; segment < config.segments; ++segment) {
+    const tenant::TenantHandle& owner = segment % 2 == 0 ? *front : *batch;
+    const sim::BufferId buffer = bed.runner->segment_buffer(segment);
+    ASSERT_TRUE(
+        bed.allocator.adopt_tenant_charge(buffer, owner, segment_bytes).ok());
+    tenant_of_label[bed.machine.info(buffer).label] = owner->id();
+  }
+  tenant::GlobalArbiter arbiter(tenants);
+
+  const std::uint64_t budget = 3 * segment_bytes;
+  runtime::RuntimePolicyOptions options = phase_policy_options();
+  options.engine.epoch_budget_bytes = budget;
+  runtime::RuntimePolicy policy(bed.allocator, bed.initiator, options);
+  runtime::MigrationEngine& engine = policy.mutable_engine();
+  engine.set_arbiter(&arbiter);
+
+  fault::FaultInjector injector(11);
+  injector.configure(fault::site::kMachineMigrateTransient,
+                     {.probability = 0.2});
+  bed.machine.set_fault_injector(&injector);
+  policy.add_epoch_hook([&](std::uint64_t epoch, unsigned) {
+    if (epoch == 6) {
+      EXPECT_TRUE(bed.machine.set_node_degraded(bed.slow, true).ok());
+    }
+    if (epoch == 14) {
+      EXPECT_TRUE(bed.machine.set_node_degraded(bed.slow, false).ok());
+    }
+    // A stall window: every migration after this hook in epoch 36 and
+    // before it in epoch 39 fails.
+    if (epoch == 36 || epoch == 39) {
+      injector.configure(fault::site::kMachineMigrateStall,
+                         {.probability = epoch == 36 ? 1.0 : 0.0});
+    }
+    return 0.0;
+  });
+  health::HealthMonitor monitor(bed.machine, bed.registry);
+  health::Evacuator evacuator(bed.allocator, engine, bed.initiator);
+  health::attach_health(policy, monitor, evacuator);
+  power::PowerGovernor governor(bed.allocator, engine, bed.initiator);
+  power::attach_governor(policy, governor);
+  bed.machine.set_power_cap_watts(1.0);
+
+  // Checked after every mover has run: each log's cursor marks where this
+  // epoch's decisions start.
+  std::size_t engine_seen = 0;
+  std::size_t evacuator_seen = 0;
+  std::size_t governor_seen = 0;
+  std::uint64_t granted_before = 0;
+  std::uint64_t checked_epochs = 0;
+  policy.add_epoch_hook([&](std::uint64_t epoch, unsigned) {
+    std::map<tenant::TenantId, std::uint64_t> moved_by_tenant;
+    std::uint64_t moved = 0;
+    auto charge = [&](const std::string& payer_label, std::uint64_t bytes) {
+      const auto owner = tenant_of_label.find(payer_label);
+      moved_by_tenant[owner == tenant_of_label.end() ? tenant::kNoTenant
+                                                     : owner->second] += bytes;
+      moved += bytes;
+    };
+    for (; engine_seen < engine.decisions().size(); ++engine_seen) {
+      const runtime::Decision& decision = engine.decisions()[engine_seen];
+      if (decision.verdict == runtime::Verdict::kAccepted) {
+        charge(decision.label, decision.bytes);
+      } else if (decision.verdict == runtime::Verdict::kEvicted) {
+        charge(decision.reason.detail, decision.bytes);
+      }
+    }
+    for (; evacuator_seen < evacuator.decisions().size(); ++evacuator_seen) {
+      const health::EvacDecision& decision =
+          evacuator.decisions()[evacuator_seen];
+      if (decision.verdict == health::EvacVerdict::kMoved) {
+        charge(decision.label, decision.bytes);
+      }
+    }
+    for (; governor_seen < governor.decisions().size(); ++governor_seen) {
+      const power::PowerDecision& decision =
+          governor.decisions()[governor_seen];
+      if (decision.verdict == power::PowerVerdict::kDrained) {
+        charge(decision.label, decision.bytes);
+      }
+    }
+
+    const std::uint64_t left = engine.broker().remaining(epoch);
+    EXPECT_LE(left, budget) << "epoch " << epoch;
+    EXPECT_EQ(budget - left, moved) << "epoch " << epoch;
+    EXPECT_EQ(arbiter.stats().bytes_granted - granted_before, moved)
+        << "epoch " << epoch;
+    granted_before = arbiter.stats().bytes_granted;
+    for (const tenant::ArbiterSlice& slice : arbiter.slices()) {
+      EXPECT_LE(slice.granted_bytes, slice.slice_bytes)
+          << "epoch " << epoch << " " << slice.name;
+      EXPECT_EQ(slice.granted_bytes, moved_by_tenant[slice.id])
+          << "epoch " << epoch << " " << slice.name;
+    }
+    ++checked_epochs;
+    return 0.0;
+  });
+  policy.attach(bed.runner->exec(), [&] { bed.runner->refresh_arrays(); });
+
+  auto result = bed.runner->run();
+  bed.machine.set_fault_injector(nullptr);
+  ASSERT_TRUE(result.ok()) << result.error().to_string();
+  EXPECT_EQ(checked_epochs, config.phases);
+
+  // The run must exercise what the checks are about: all three movers
+  // moved buffers, and migrations failed under each of them.
+  EXPECT_GT(engine.stats().accepted, 0u);
+  EXPECT_GT(engine.stats().evicted, 0u);
+  EXPECT_GT(engine.stats().failed, 0u);
+  // A promotion failed after its evictions moved: its reservation kept the
+  // evictions' bytes and refunded its own.
+  bool partial_refund = false;
+  const std::vector<runtime::Decision>& decisions = engine.decisions();
+  for (std::size_t i = 1; i < decisions.size(); ++i) {
+    partial_refund |=
+        decisions[i].verdict == runtime::Verdict::kFailedMigrate &&
+        decisions[i - 1].verdict == runtime::Verdict::kEvicted &&
+        decisions[i - 1].reason.detail == decisions[i].label;
+  }
+  EXPECT_TRUE(partial_refund);
+  EXPECT_GT(evacuator.stats().moved, 0u);
+  EXPECT_GT(governor.stats().drained_buffers, 0u);
+  std::uint64_t evacuator_failed = 0;
+  for (const health::EvacDecision& decision : evacuator.decisions()) {
+    if (decision.verdict == health::EvacVerdict::kFailedMigrate) {
+      ++evacuator_failed;
+    }
+  }
+  EXPECT_GT(evacuator_failed, 0u);
+  std::uint64_t governor_failed = 0;
+  for (const power::PowerDecision& decision : governor.decisions()) {
+    if (decision.verdict == power::PowerVerdict::kFailedMigrate) {
+      ++governor_failed;
+    }
+  }
+  EXPECT_GT(governor_failed, 0u);
+  EXPECT_GT(injector.injected(fault::site::kMachineMigrateStall), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Both movers' decision logs, pinned across commits
 // ---------------------------------------------------------------------------
@@ -465,16 +630,23 @@ std::uint64_t fnv1a64(const std::string& text) {
   return hash;
 }
 
-TEST(KvCachePhaseChaosTest, DecisionLogsMatchRecordedDigests) {
-  // One seeded run that drives both movers through most of their verdicts:
-  // a rotating hot set squeezed into fast memory (promotions, evictions),
-  // an epoch budget carved between two tenants (tenant-share and budget
-  // deferrals), the slow node holding the segments degraded at epoch 6 and
-  // cleared at epoch 14 (quarantined drains that move hot segments and
-  // reject warm ones on breakeven, then re-probation), and the heavy fault
-  // preset from epoch 24 on (failed migrations, an offline node, urgent
-  // drains). The digests and lengths were recorded before the decision
-  // reasons became typed, so they hold the rendered text byte for byte.
+/// Both movers' verdicts and rendered logs from one digest scenario run.
+struct MoverLogs {
+  std::set<runtime::Verdict> engine_verdicts;
+  std::set<health::EvacVerdict> evacuator_verdicts;
+  std::string engine_log;
+  std::string evacuator_log;
+};
+
+/// One seeded run that drives both movers through most of their verdicts:
+/// a rotating hot set squeezed into fast memory (promotions, evictions), an
+/// epoch budget carved between two tenants (tenant-share and budget
+/// deferrals), and the slow node holding the segments degraded at epoch 6
+/// and cleared at epoch 14 (quarantined drains that move hot segments and
+/// reject warm ones on breakeven, then re-probation). `injector`, when not
+/// null, goes live at epoch 24 (failed migrations, an offline node, urgent
+/// drains).
+void run_digest_scenario(fault::FaultInjector* injector, MoverLogs* logs) {
   apps::KvCacheConfig config = small_kvcache();
   config.declared_value_bytes = 8 * kGiB;
   config.segments = 16;
@@ -504,7 +676,6 @@ TEST(KvCachePhaseChaosTest, DecisionLogsMatchRecordedDigests) {
   options.engine.epoch_budget_bytes = 3 * segment_bytes;
   runtime::RuntimePolicy policy(bed.allocator, bed.initiator, options);
   policy.mutable_engine().set_arbiter(&arbiter);
-  fault::FaultInjector injector = fault::FaultInjector::preset("heavy", 4242);
   policy.add_epoch_hook([&](std::uint64_t epoch, unsigned) {
     if (epoch == 6) {
       EXPECT_TRUE(bed.machine.set_node_degraded(bed.slow, true).ok());
@@ -512,7 +683,9 @@ TEST(KvCachePhaseChaosTest, DecisionLogsMatchRecordedDigests) {
     if (epoch == 14) {
       EXPECT_TRUE(bed.machine.set_node_degraded(bed.slow, false).ok());
     }
-    if (epoch == 24) bed.machine.set_fault_injector(&injector);
+    if (epoch == 24 && injector != nullptr) {
+      bed.machine.set_fault_injector(injector);
+    }
     return 0.0;
   });
   health::HealthMonitor monitor(bed.machine, bed.registry);
@@ -525,13 +698,25 @@ TEST(KvCachePhaseChaosTest, DecisionLogsMatchRecordedDigests) {
   bed.machine.set_fault_injector(nullptr);
   ASSERT_TRUE(result.ok()) << result.error().to_string();
 
+  for (const runtime::Decision& decision : policy.decisions()) {
+    logs->engine_verdicts.insert(decision.verdict);
+  }
+  for (const health::EvacDecision& decision : evacuator.decisions()) {
+    logs->evacuator_verdicts.insert(decision.verdict);
+  }
+  logs->engine_log = policy.render_decision_log();
+  logs->evacuator_log = evacuator.render_log();
+}
+
+TEST(KvCachePhaseChaosTest, DecisionLogsMatchRecordedDigests) {
+  // The digest scenario with the heavy fault preset from epoch 24 on.
+  fault::FaultInjector injector = fault::FaultInjector::preset("heavy", 4242);
+  MoverLogs logs;
+  ASSERT_NO_FATAL_FAILURE(run_digest_scenario(&injector, &logs));
+
   // The run reaches every verdict but the engine's rejected:no-target (the
   // HMAT always ranks some target) and rejected:budget (with an arbiter
   // installed, a tenant's slice runs out before the shared pool does).
-  std::set<runtime::Verdict> engine_verdicts;
-  for (const runtime::Decision& decision : policy.decisions()) {
-    engine_verdicts.insert(decision.verdict);
-  }
   for (runtime::Verdict verdict :
        {runtime::Verdict::kAccepted, runtime::Verdict::kEvicted,
         runtime::Verdict::kRejectedCapacity,
@@ -539,12 +724,8 @@ TEST(KvCachePhaseChaosTest, DecisionLogsMatchRecordedDigests) {
         runtime::Verdict::kRejectedBreakeven,
         runtime::Verdict::kRejectedTenantShare,
         runtime::Verdict::kFailedMigrate}) {
-    EXPECT_EQ(engine_verdicts.count(verdict), 1u)
+    EXPECT_EQ(logs.engine_verdicts.count(verdict), 1u)
         << runtime::verdict_name(verdict);
-  }
-  std::set<health::EvacVerdict> evacuator_verdicts;
-  for (const health::EvacDecision& decision : evacuator.decisions()) {
-    evacuator_verdicts.insert(decision.verdict);
   }
   for (health::EvacVerdict verdict :
        {health::EvacVerdict::kMoved, health::EvacVerdict::kSkippedCold,
@@ -553,16 +734,44 @@ TEST(KvCachePhaseChaosTest, DecisionLogsMatchRecordedDigests) {
         health::EvacVerdict::kDeferredBudget,
         health::EvacVerdict::kDeferredTenantShare,
         health::EvacVerdict::kFailedMigrate}) {
-    EXPECT_EQ(evacuator_verdicts.count(verdict), 1u)
+    EXPECT_EQ(logs.evacuator_verdicts.count(verdict), 1u)
         << health::evac_verdict_name(verdict);
   }
 
-  const std::string engine_log = policy.render_decision_log();
-  EXPECT_EQ(engine_log.size(), 13228u);
-  EXPECT_EQ(fnv1a64(engine_log), 0x26a3de3568d17389ull) << engine_log;
-  const std::string evacuator_log = evacuator.render_log();
-  EXPECT_EQ(evacuator_log.size(), 33690u);
-  EXPECT_EQ(fnv1a64(evacuator_log), 0x4458961ea0872632ull) << evacuator_log;
+  EXPECT_EQ(logs.engine_log.size(), 12417u);
+  EXPECT_EQ(fnv1a64(logs.engine_log), 0x23beeda4bdba58d1ull)
+      << logs.engine_log;
+  EXPECT_EQ(logs.evacuator_log.size(), 33034u);
+  EXPECT_EQ(fnv1a64(logs.evacuator_log), 0x75a16d3014c82471ull)
+      << logs.evacuator_log;
+}
+
+TEST(KvCachePhaseChaosTest, DecisionLogsWithoutFaultsMatchRecordedDigests) {
+  // The digest scenario with no fault injector: no migration fails, so how
+  // a failed move is charged cannot show here. The digests were recorded
+  // before the movers charged through one MigrationBroker and pin that
+  // nothing else about charging a move changed.
+  MoverLogs logs;
+  ASSERT_NO_FATAL_FAILURE(run_digest_scenario(nullptr, &logs));
+
+  for (runtime::Verdict verdict :
+       {runtime::Verdict::kAccepted, runtime::Verdict::kEvicted,
+        runtime::Verdict::kRejectedBreakeven,
+        runtime::Verdict::kRejectedTenantShare}) {
+    EXPECT_EQ(logs.engine_verdicts.count(verdict), 1u)
+        << runtime::verdict_name(verdict);
+  }
+  EXPECT_EQ(logs.evacuator_verdicts.count(health::EvacVerdict::kMoved), 1u);
+  EXPECT_EQ(logs.engine_verdicts.count(runtime::Verdict::kFailedMigrate), 0u);
+  EXPECT_EQ(logs.evacuator_verdicts.count(health::EvacVerdict::kFailedMigrate),
+            0u);
+
+  EXPECT_EQ(logs.engine_log.size(), 13124u);
+  EXPECT_EQ(fnv1a64(logs.engine_log), 0x0ee549a50e5d2d76ull)
+      << logs.engine_log;
+  EXPECT_EQ(logs.evacuator_log.size(), 16450u);
+  EXPECT_EQ(fnv1a64(logs.evacuator_log), 0x0cb7b5cbadaf3fd3ull)
+      << logs.evacuator_log;
 }
 
 }  // namespace

@@ -504,14 +504,17 @@ TEST_F(TenantAllocTest, EngineTenantDrawGatesOnArbiterSlices) {
   // Weights 4:1 over a 100 MiB pool -> best-effort slice is 20 MiB: a
   // 64 MiB draw for its buffer is denied, while the untenanted buffer
   // bypasses slicing (classic mode unchanged).
-  EXPECT_FALSE(engine.tenant_draw(0, held->buffer, 64 * kMiB));
-  EXPECT_TRUE(engine.tenant_draw(0, loose->buffer, 64 * kMiB));
+  EXPECT_EQ(engine.broker().reserve(0, held->buffer, 64 * kMiB).refusal(),
+            runtime::Refusal::kTenantShare);
+  EXPECT_EQ(engine.broker().reserve(0, loose->buffer, 64 * kMiB).refusal(),
+            runtime::Refusal::kNone);
   EXPECT_EQ(arbiter.stats().draws_denied, 1u);
   EXPECT_EQ(arbiter.stats().draws_granted, 1u);
 
   // Without an arbiter the draw is a no-op gate.
   engine.set_arbiter(nullptr);
-  EXPECT_TRUE(engine.tenant_draw(0, held->buffer, 64 * kMiB));
+  EXPECT_EQ(engine.broker().reserve(0, held->buffer, 64 * kMiB).refusal(),
+            runtime::Refusal::kNone);
 
   EXPECT_TRUE(allocator_.mem_free(held->buffer).ok());
   EXPECT_TRUE(allocator_.mem_free(loose->buffer).ok());

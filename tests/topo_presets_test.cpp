@@ -67,16 +67,16 @@ TEST_P(PresetInvariantsTest, CoveringObjectOfFullCpusetCoversAllPus) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllPresets, PresetInvariantsTest, ::testing::ValuesIn(all_presets()),
-    [](const ::testing::TestParamInfo<NamedTopology>& info) {
-      return info.param.name;
+    [](const ::testing::TestParamInfo<NamedTopology>& param_info) {
+      return param_info.param.name;
     });
 
 INSTANTIATE_TEST_SUITE_P(
     AllPresets, PresetValidationTest,
     ::testing::Range(0, static_cast<int>(all_presets().size())),
-    [](const ::testing::TestParamInfo<int>& info) {
+    [](const ::testing::TestParamInfo<int>& param_info) {
       return std::string(
-          all_presets()[static_cast<std::size_t>(info.param)].name);
+          all_presets()[static_cast<std::size_t>(param_info.param)].name);
     });
 
 // --- per-preset shape checks against the paper's figures ---

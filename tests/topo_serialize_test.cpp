@@ -59,8 +59,8 @@ TEST_P(SerializeRoundTripTest, ParseSerializeIsIdentity) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllPresets, SerializeRoundTripTest, ::testing::ValuesIn(all_presets()),
-    [](const ::testing::TestParamInfo<NamedTopology>& info) {
-      return info.param.name;
+    [](const ::testing::TestParamInfo<NamedTopology>& param_info) {
+      return param_info.param.name;
     });
 
 TEST(ParseTopology, RejectsMissingHeader) {
