@@ -101,6 +101,11 @@ runtime::RuntimePolicyOptions scenario_options() {
   options.classifier.ema_alpha = 0.85;
   options.classifier.hysteresis_epochs = 2;
   options.engine.expected_future_epochs = 50.0;
+  // Without a cost model the sampler times itself on the host clock, and
+  // that reading lands in every snapshot. A zero model keeps the snapshot
+  // the same on every run; the sampler is not adaptive, so no decision
+  // reads it.
+  options.sampler.cost_model = [](const runtime::Epoch&) { return 0.0; };
   return options;
 }
 

@@ -11,8 +11,11 @@
 // power governor's escalation streaks, every fault-injection site's RNG
 // stream, and the supervisor's breaker/watchdog state.
 //
-// Text format `hetmem-snap/1`: line-oriented, tagged, hexfloat doubles (the
-// same lossless %a/strtod round-trip discipline as src/trace). Variable
+// Text format `hetmem-snap/1`: line-oriented, tagged records written and
+// read through support/line_codec.hpp, the codec src/trace also uses
+// (hexfloat doubles, range-checked integers, bools and enums). Each
+// record's fields are listed once, in a field-list function that
+// serialize() calls with the writer and parse() with the reader. Variable
 // strings (labels, names) ride LAST on their line so embedded spaces
 // survive. The payload carries an FNV-1a checksum line and a final `end`
 // sentinel; parse() verifies both, and restore() only ever runs against a

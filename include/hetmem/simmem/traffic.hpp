@@ -52,6 +52,14 @@ struct BufferTraffic {
   double random_misses = 0.0;   // their expected LLC misses
 };
 
+/// BufferTraffic's counters in wire order, for support::RecordWriter and
+/// support::FieldReader (trace samples, snapshot classifier EMAs).
+template <typename Io, typename Traffic>
+bool traffic_fields(Io& io, Traffic& t) {
+  return io(t.reads, t.writes, t.llc_misses, t.memory_bytes,
+            t.random_accesses, t.random_misses);
+}
+
 class ThreadCtx {
  public:
   explicit ThreadCtx(std::size_t node_count);

@@ -18,25 +18,22 @@
 //   synthesize_*()  seeded Zipfian / square-wave / ramp generators for
 //                   stressing hysteresis without running a workload.
 //
-// Text format (one record per line, hexfloat doubles):
-//   hetmem-trace/1
+// Text format `hetmem-trace/2`, one record per line, written and read
+// through support/line_codec.hpp (decimal integers, hexfloat doubles, the
+// workload label last on its line):
+//   hetmem-trace/2
 //   workload <label>
 //   threads <n>
 //   phases_per_epoch <n>
-//   epoch <index> <duration_ns>
+//   epoch <index> <duration_ns> <sample_period>
 //   s <buffer> <reads> <writes> <llc_misses> <memory_bytes> <rand> <rand_miss>
 //   ...
 //   end
-//
-// Version 2 (`hetmem-trace/2`) differs in exactly one record: the epoch
-// line grows a third field carrying the effective subsample period the
-// recorded run's sampler applied to that epoch,
-//   epoch <index> <duration_ns> <sample_period>
-// which is what lets adaptive-sampling runs (docs/RUNTIME.md) replay byte-
-// identically — the replayer re-applies the recorded period per epoch
-// instead of re-running the overhead controller. parse() accepts both
-// headers; serialize() emits whichever `Trace::version` names (a v1
-// serialization of epochs carrying periods drops them, by design).
+// The epoch line's sample_period is the effective subsample period the
+// recorded run's sampler applied to that epoch (0 when none did), which is
+// what lets adaptive-sampling runs (docs/RUNTIME.md) replay byte-
+// identically: the replayer re-applies the recorded period per epoch
+// instead of re-running the overhead controller.
 #pragma once
 
 #include <cstdint>
@@ -52,10 +49,6 @@
 namespace hetmem::trace {
 
 struct Trace {
-  /// Serialization format: 1 = `hetmem-trace/1` (no per-epoch period),
-  /// 2 = `hetmem-trace/2` (epoch lines carry the effective sample period).
-  /// parse() sets this from the header it saw; TraceRecorder emits 2.
-  unsigned version = 1;
   std::string workload = "trace";
   /// Thread count of the recorded run (replay passes it to the engine's
   /// cost model so migration costs match the live run).
@@ -76,9 +69,10 @@ struct RecorderOptions {
   std::string workload = "recorded";
 };
 
-/// Captures RAW per-epoch traffic deltas from a live run. Does its own
-/// snapshot diffing (independent of any sampler), so it can sit next to a
-/// subsampling RuntimePolicy and still record exact counters.
+/// Captures RAW per-epoch traffic deltas from a live run. Reads them
+/// through its own sim::TelemetryReader, as EpochSampler does, so it can
+/// sit next to a subsampling RuntimePolicy and still record exact counters,
+/// and an epoch costs O(buffers touched since the last one).
 class TraceRecorder {
  public:
   explicit TraceRecorder(RecorderOptions options = {});
@@ -106,7 +100,7 @@ class TraceRecorder {
 
   RecorderOptions options_;
   Trace trace_;
-  std::vector<sim::BufferTraffic> snapshot_;
+  sim::TelemetryReader reader_;
   double snapshot_clock_ns_ = 0.0;
   unsigned phases_since_epoch_ = 0;
 };

@@ -2,25 +2,10 @@
 
 #include <algorithm>
 
+#include "hetmem/support/line_codec.hpp"
 #include "hetmem/support/str.hpp"
 
 namespace hetmem::fault {
-
-namespace {
-
-/// FNV-1a, so a site's random stream depends only on (seed, name) — never on
-/// the order sites were first touched. That is what makes interleaved
-/// consumers (machine, probe, corruption) individually replayable.
-std::uint64_t hash_site(std::string_view name) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  for (char c : name) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
-
-}  // namespace
 
 FaultInjector::Site& FaultInjector::site_state_locked(std::string_view site) {
   for (Site& s : sites_) {
@@ -28,7 +13,11 @@ FaultInjector::Site& FaultInjector::site_state_locked(std::string_view site) {
   }
   Site s;
   s.name = std::string(site);
-  s.rng = support::Xoshiro256(seed_ ^ hash_site(site));
+  // Seeded from a hash of the name, so a site's random stream depends only
+  // on (seed, name), never on the order sites were first touched. That is
+  // what makes interleaved consumers (machine, probe, corruption)
+  // individually replayable.
+  s.rng = support::Xoshiro256(seed_ ^ support::fnv1a64(site));
   sites_.push_back(std::move(s));
   return sites_.back();
 }

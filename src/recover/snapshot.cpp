@@ -1,10 +1,11 @@
 #include "hetmem/recover/snapshot.hpp"
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <utility>
+
+#include "hetmem/support/line_codec.hpp"
 
 namespace hetmem::recover {
 
@@ -17,125 +18,165 @@ namespace {
 
 constexpr const char* kHeader = "hetmem-snap/1";
 
-// Hexfloat ("%a") is the one printf format that round-trips every finite
-// double exactly through strtod — the same lossless-serialization property
-// the trace replay gate rests on (src/trace/trace.cpp).
-void append_double(std::string& out, double value) {
-  char buffer[48];
-  std::snprintf(buffer, sizeof(buffer), "%a", value);
-  out += buffer;
-}
+// Each record's fields, listed once. serialize() calls a list with a
+// support::RecordWriter and a const value, parse() with a FieldReader and
+// a value to fill (support/line_codec.hpp). Per-node and per-slot lists
+// are written `<tag> <position> <fields>` by put_indexed() and read back
+// by get_indexed(), which requires the positions in order. A section's
+// count field (classifier, health, faults) is for people reading the file:
+// parse() checks that it is a number and otherwise ignores it, so a forged
+// count allocates nothing.
 
-void append_u64(std::string& out, std::uint64_t value) {
-  out += std::to_string(value);
-}
+/// A list entry that is a single number (period, gstreak).
+constexpr auto scalar_fields = [](auto& io, auto& value) { return io(value); };
 
-/// FNV-1a 64-bit over the payload bytes — the corruption tripwire a
-/// bit-flipped snapshot fails before any field is applied.
-std::uint64_t fnv1a(std::string_view text) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
-
-struct Cursor {
-  const char* pos;
-  const char* end;
-  std::size_t line = 1;
-
-  [[nodiscard]] bool done() const { return pos >= end; }
-
-  /// Consumes one line, returning it without the trailing newline.
-  std::string_view next_line() {
-    const char* start = pos;
-    while (pos < end && *pos != '\n') ++pos;
-    std::string_view result(start, static_cast<std::size_t>(pos - start));
-    if (pos < end) ++pos;  // swallow '\n'
-    ++line;
-    return result;
-  }
+constexpr auto preset_fields = [](auto& io, auto& snap) {
+  return io(snap.probed) && io.name(snap.machine_preset);
 };
 
-support::Error parse_error(const Cursor& cursor, const std::string& what) {
-  return make_error(Errc::kInvalidArgument,
-                    "snapshot parse error at line " +
-                        std::to_string(cursor.line - 1) + ": " + what);
+constexpr auto machine_fields = [](auto& io, auto& snap) {
+  return io(snap.node_count, snap.power_cap_watts);
+};
+
+constexpr auto node_fields = [](auto& io, auto& t) {
+  return io(t.capacity_rejections, t.offline_rejections, t.transient_faults,
+            t.ecc_errors, t.degraded_events, t.thermal_throttle_events,
+            t.degraded, t.online);
+};
+
+constexpr auto npower_fields = [](auto& io, auto& power) {
+  return io(power.dynamic_watts_ema, power.seeded);
+};
+
+constexpr auto buffers_fields = [](auto& io, auto& snap) {
+  return io(snap.buffers_total);
+};
+
+constexpr auto buffer_fields = [](auto& io, auto& b) {
+  return io(b.index, b.node, b.declared_bytes, b.backing_bytes, b.freed,
+            b.tenant_id) &&
+         io.text(b.label);
+};
+
+constexpr auto tenant_fields = [](auto& io, auto& t) {
+  return io(t.id) &&
+         io.enumeration(t.priority, tenant::Priority::kBestEffort) &&
+         io(t.quota.share_weight, t.quota.total_cap_bytes,
+            t.quota.tier_cap_bytes, t.stats.admitted, t.stats.spilled,
+            t.stats.shed, t.stats.quota_rejections, t.live) &&
+         io.name(t.name);
+};
+
+constexpr auto tnext_fields = [](auto& io, auto& snap) {
+  return io(snap.tenants_next_id);
+};
+
+constexpr auto astats_fields = [](auto& io, auto& s) {
+  return io(s.allocations, s.fallbacks, s.failures, s.frees, s.migrations,
+            s.bytes_allocated, s.bytes_migrated, s.transient_retries,
+            s.attribute_rescues, s.backpressure_rejections,
+            s.backpressure_health, s.backpressure_quota, s.backpressure_shed,
+            s.tenant_spills, s.retry_backoff_ms);
+};
+
+constexpr auto sampler_fields = [](auto& io, auto& s) {
+  return io(s.rng, s.snapshot_clock_ns, s.phases_since_epoch, s.epochs,
+            s.effective_period, s.last_cost_ns);
+};
+
+constexpr auto classifier_fields = [](auto& io, auto& snap) {
+  std::uint64_t count = snap.classifier_states.size();
+  return io(snap.classifier_ema_total_bytes, count);
+};
+
+constexpr auto cstate_fields = [](auto& io, auto& s) {
+  return io(s.tracked) && sim::traffic_fields(io, s.ema) &&
+         io.enumeration(s.committed, prof::Sensitivity::kInsensitive) &&
+         io.enumeration(s.pending, prof::Sensitivity::kInsensitive) &&
+         io(s.disagreement_streak);
+};
+
+/// Shared by the engine record and the watchdog's engine baseline.
+constexpr auto engine_stats_fields = [](auto& io, auto& s) {
+  return io(s.considered, s.accepted, s.evicted, s.rejected, s.failed,
+            s.migrated_bytes, s.migration_cost_ns);
+};
+
+constexpr auto engine_fields = [](auto& io, auto& snap) {
+  return engine_stats_fields(io, snap.engine_stats) &&
+         io(snap.engine_max_epoch_bytes);
+};
+
+constexpr auto health_fields = [](auto& io, auto& snap) {
+  std::uint64_t count = snap.health_nodes.size();
+  return io(snap.health_poll_count, count);
+};
+
+constexpr auto hnode_fields = [](auto& io, auto& s) {
+  return io.enumeration(s.state, health::HealthState::kOffline) &&
+         io(s.last_errors, s.faulty_streak, s.clean_streak);
+};
+
+constexpr auto governor_fields = [](auto& io, auto& s) {
+  return io(s.epochs, s.over_cap_epochs, s.throttle_events, s.drained_buffers,
+            s.drained_bytes, s.drain_cost_ns);
+};
+
+constexpr auto faults_fields = [](auto& io, auto& snap) {
+  std::uint64_t count = snap.fault_sites.size();
+  return io(snap.fault_seed, count);
+};
+
+constexpr auto fsite_fields = [](auto& io, auto& s) {
+  return io(s.spec.probability, s.spec.max_count, s.spec.burst,
+            s.spec.noise_sigma, s.rng, s.consultations, s.injected,
+            s.burst_remaining, s.armed) &&
+         io.name(s.name);
+};
+
+/// `which` is 0 for the migration breaker, 1 for the evacuation breaker.
+constexpr auto breaker_fields = [](auto& io, auto& which, auto& s) {
+  return io(which) && io.enumeration(s.state, BreakerState::kHalfOpen) &&
+         io(s.consecutive_failures, s.consecutive_successes,
+            s.reopen_at_epoch, s.stats.opens, s.stats.recloses,
+            s.stats.probes, s.stats.skipped, s.backoff.rng,
+            s.backoff.attempt);
+};
+
+constexpr auto watchdog_fields = [](auto& io, auto& w) {
+  return engine_stats_fields(io, w.prev_engine) &&
+         io(w.prev_evac_failed, w.prev_evac_moved, w.migration_stall_streak,
+            w.evacuation_stall_streak, w.stats.epochs_observed,
+            w.stats.overruns, w.stats.migration_stall_trips,
+            w.stats.evacuation_stall_trips);
+};
+
+/// Writes one `<tag> <fields>` line.
+template <typename Fields, typename... Values>
+void put_record(support::RecordWriter& out, std::string_view tag,
+                Fields fields, const Values&... record) {
+  out.begin(tag);
+  fields(out, record...);
+  out.end();
 }
 
-/// Splits `text` at the first space; returns the head, advances `text`.
-std::string_view take_word(std::string_view& text) {
-  const std::size_t space = text.find(' ');
-  std::string_view word = text.substr(0, space);
-  text.remove_prefix(space == std::string_view::npos ? text.size() : space + 1);
-  return word;
-}
-
-bool parse_u64(std::string_view word, std::uint64_t& out) {
-  if (word.empty()) return false;
-  char* parse_end = nullptr;
-  const std::string owned(word);
-  out = std::strtoull(owned.c_str(), &parse_end, 10);
-  return parse_end == owned.c_str() + owned.size();
-}
-
-bool parse_f64(std::string_view word, double& out) {
-  if (word.empty()) return false;
-  char* parse_end = nullptr;
-  const std::string owned(word);
-  out = std::strtod(owned.c_str(), &parse_end);
-  return parse_end == owned.c_str() + owned.size();
-}
-
-/// take_word + parse_u64 in one step; false on any failure.
-bool next_u64(std::string_view& text, std::uint64_t& out) {
-  return parse_u64(take_word(text), out);
-}
-
-bool next_f64(std::string_view& text, double& out) {
-  return parse_f64(take_word(text), out);
-}
-
-void append_rng(std::string& out, const std::array<std::uint64_t, 4>& rng) {
-  for (const std::uint64_t word : rng) {
-    append_u64(out, word);
-    out += ' ';
+template <typename Fields, typename T>
+void put_indexed(support::RecordWriter& out, std::string_view tag,
+                 Fields fields, const std::vector<T>& items) {
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    out.begin(tag);
+    out(i);
+    fields(out, items[i]);
+    out.end();
   }
 }
 
-bool next_rng(std::string_view& text, std::array<std::uint64_t, 4>& rng) {
-  for (std::uint64_t& word : rng) {
-    if (!next_u64(text, word)) return false;
-  }
-  return true;
-}
-
-void append_breaker(std::string& out, unsigned which,
-                    const CircuitBreaker::State& state) {
-  out += "breaker ";
-  append_u64(out, which);
-  out += ' ';
-  append_u64(out, static_cast<std::uint64_t>(state.state));
-  out += ' ';
-  append_u64(out, state.consecutive_failures);
-  out += ' ';
-  append_u64(out, state.consecutive_successes);
-  out += ' ';
-  append_u64(out, state.reopen_at_epoch);
-  out += ' ';
-  append_u64(out, state.stats.opens);
-  out += ' ';
-  append_u64(out, state.stats.recloses);
-  out += ' ';
-  append_u64(out, state.stats.probes);
-  out += ' ';
-  append_u64(out, state.stats.skipped);
-  out += ' ';
-  append_rng(out, state.backoff.rng);
-  append_u64(out, state.backoff.attempt);
-  out += '\n';
+template <typename Fields, typename T>
+bool get_indexed(support::FieldReader& in, Fields fields,
+                 std::vector<T>& items) {
+  std::uint64_t index = 0;
+  return in(index) && index == items.size() &&
+         fields(in, items.emplace_back());
 }
 
 }  // namespace
@@ -263,718 +304,206 @@ Snapshot capture(const CaptureSources& sources) {
 }
 
 std::string serialize(const Snapshot& snap) {
-  std::string p;  // payload (checksummed)
-  p += "preset ";
-  append_u64(p, snap.probed ? 1 : 0);
-  p += ' ';
-  p += snap.machine_preset;
-  p += '\n';
-
-  p += "machine ";
-  append_u64(p, snap.node_count);
-  p += ' ';
-  append_double(p, snap.power_cap_watts);
-  p += '\n';
-  for (std::size_t n = 0; n < snap.node_telemetry.size(); ++n) {
-    const sim::NodeTelemetry& t = snap.node_telemetry[n];
-    p += "node ";
-    append_u64(p, n);
-    p += ' ';
-    append_u64(p, t.capacity_rejections);
-    p += ' ';
-    append_u64(p, t.offline_rejections);
-    p += ' ';
-    append_u64(p, t.transient_faults);
-    p += ' ';
-    append_u64(p, t.ecc_errors);
-    p += ' ';
-    append_u64(p, t.degraded_events);
-    p += ' ';
-    append_u64(p, t.thermal_throttle_events);
-    p += ' ';
-    append_u64(p, t.degraded ? 1 : 0);
-    p += ' ';
-    append_u64(p, t.online ? 1 : 0);
-    p += '\n';
+  std::string payload;  // checksummed
+  support::RecordWriter out(payload);
+  put_record(out, "preset", preset_fields, snap);
+  put_record(out, "machine", machine_fields, snap);
+  put_indexed(out, "node", node_fields, snap.node_telemetry);
+  put_indexed(out, "npower", npower_fields, snap.node_power);
+  put_record(out, "buffers", buffers_fields, snap);
+  for (const Snapshot::BufferRecord& buffer : snap.buffers) {
+    put_record(out, "buffer", buffer_fields, buffer);
   }
-  for (std::size_t n = 0; n < snap.node_power.size(); ++n) {
-    p += "npower ";
-    append_u64(p, n);
-    p += ' ';
-    append_double(p, snap.node_power[n].dynamic_watts_ema);
-    p += ' ';
-    append_u64(p, snap.node_power[n].seeded ? 1 : 0);
-    p += '\n';
-  }
-
-  p += "buffers ";
-  append_u64(p, snap.buffers_total);
-  p += '\n';
-  for (const Snapshot::BufferRecord& b : snap.buffers) {
-    p += "buffer ";
-    append_u64(p, b.index);
-    p += ' ';
-    append_u64(p, b.node);
-    p += ' ';
-    append_u64(p, b.declared_bytes);
-    p += ' ';
-    append_u64(p, b.backing_bytes);
-    p += ' ';
-    append_u64(p, b.freed ? 1 : 0);
-    p += ' ';
-    append_u64(p, b.tenant_id);
-    p += ' ';
-    p += b.label;  // last: labels may contain spaces
-    p += '\n';
-  }
-
-  for (const Snapshot::TenantRecord& t : snap.tenants) {
-    p += "tenant ";
-    append_u64(p, t.id);
-    p += ' ';
-    append_u64(p, static_cast<std::uint64_t>(t.priority));
-    p += ' ';
-    append_double(p, t.quota.share_weight);
-    p += ' ';
-    append_u64(p, t.quota.total_cap_bytes);
-    for (const std::uint64_t cap : t.quota.tier_cap_bytes) {
-      p += ' ';
-      append_u64(p, cap);
-    }
-    p += ' ';
-    append_u64(p, t.stats.admitted);
-    p += ' ';
-    append_u64(p, t.stats.spilled);
-    p += ' ';
-    append_u64(p, t.stats.shed);
-    p += ' ';
-    append_u64(p, t.stats.quota_rejections);
-    p += ' ';
-    append_u64(p, t.live ? 1 : 0);
-    p += ' ';
-    p += t.name;  // last: names may contain spaces
-    p += '\n';
+  for (const Snapshot::TenantRecord& tenant : snap.tenants) {
+    put_record(out, "tenant", tenant_fields, tenant);
   }
   if (snap.tenants_next_id > 1 || !snap.tenants.empty()) {
-    p += "tnext ";
-    append_u64(p, snap.tenants_next_id);
-    p += '\n';
+    put_record(out, "tnext", tnext_fields, snap);
   }
-
-  {
-    const alloc::AllocatorStats& s = snap.alloc_stats;
-    const std::uint64_t fields[] = {s.allocations,
-                                    s.fallbacks,
-                                    s.failures,
-                                    s.frees,
-                                    s.migrations,
-                                    s.bytes_allocated,
-                                    s.bytes_migrated,
-                                    s.transient_retries,
-                                    s.attribute_rescues,
-                                    s.backpressure_rejections,
-                                    s.backpressure_health,
-                                    s.backpressure_quota,
-                                    s.backpressure_shed,
-                                    s.tenant_spills,
-                                    s.retry_backoff_ms};
-    p += "astats";
-    for (const std::uint64_t field : fields) {
-      p += ' ';
-      append_u64(p, field);
-    }
-    p += '\n';
-  }
+  put_record(out, "astats", astats_fields, snap.alloc_stats);
   for (std::size_t n = 0; n < snap.reserved_bytes.size(); ++n) {
-    if (snap.reserved_bytes[n] == 0) continue;
-    p += "reserved ";
-    append_u64(p, n);
-    p += ' ';
-    append_u64(p, snap.reserved_bytes[n]);
-    p += '\n';
+    if (snap.reserved_bytes[n] != 0) {
+      out.line("reserved", n, snap.reserved_bytes[n]);
+    }
   }
 
   if (snap.has_policy) {
-    p += "sampler ";
-    append_rng(p, snap.sampler.rng);
-    append_double(p, snap.sampler.snapshot_clock_ns);
-    p += ' ';
-    append_u64(p, snap.sampler.phases_since_epoch);
-    p += ' ';
-    append_u64(p, snap.sampler.epochs);
-    p += ' ';
-    append_double(p, snap.sampler.effective_period);
-    p += ' ';
-    append_double(p, snap.sampler.last_cost_ns);
-    p += '\n';
-    for (std::size_t i = 0; i < snap.sampler.period_log.size(); ++i) {
-      p += "period ";
-      append_u64(p, i);
-      p += ' ';
-      append_double(p, snap.sampler.period_log[i]);
-      p += '\n';
-    }
-
-    p += "classifier ";
-    append_double(p, snap.classifier_ema_total_bytes);
-    p += ' ';
-    append_u64(p, snap.classifier_states.size());
-    p += '\n';
-    for (std::size_t i = 0; i < snap.classifier_states.size(); ++i) {
-      const runtime::OnlineClassifier::BufferState& s =
-          snap.classifier_states[i];
-      p += "cstate ";
-      append_u64(p, i);
-      p += ' ';
-      append_u64(p, s.tracked ? 1 : 0);
-      p += ' ';
-      append_double(p, s.ema.reads);
-      p += ' ';
-      append_double(p, s.ema.writes);
-      p += ' ';
-      append_double(p, s.ema.llc_misses);
-      p += ' ';
-      append_double(p, s.ema.memory_bytes);
-      p += ' ';
-      append_double(p, s.ema.random_accesses);
-      p += ' ';
-      append_double(p, s.ema.random_misses);
-      p += ' ';
-      append_u64(p, static_cast<std::uint64_t>(s.committed));
-      p += ' ';
-      append_u64(p, static_cast<std::uint64_t>(s.pending));
-      p += ' ';
-      append_u64(p, s.disagreement_streak);
-      p += '\n';
-    }
-
-    p += "engine ";
-    append_u64(p, snap.engine_stats.considered);
-    p += ' ';
-    append_u64(p, snap.engine_stats.accepted);
-    p += ' ';
-    append_u64(p, snap.engine_stats.evicted);
-    p += ' ';
-    append_u64(p, snap.engine_stats.rejected);
-    p += ' ';
-    append_u64(p, snap.engine_stats.failed);
-    p += ' ';
-    append_u64(p, snap.engine_stats.migrated_bytes);
-    p += ' ';
-    append_double(p, snap.engine_stats.migration_cost_ns);
-    p += ' ';
-    append_u64(p, snap.engine_max_epoch_bytes);
-    p += '\n';
+    put_record(out, "sampler", sampler_fields, snap.sampler);
+    put_indexed(out, "period", scalar_fields, snap.sampler.period_log);
+    put_record(out, "classifier", classifier_fields, snap);
+    put_indexed(out, "cstate", cstate_fields, snap.classifier_states);
+    put_record(out, "engine", engine_fields, snap);
     // The rendered narrative, one "dlog " line per log line (log lines are
     // never empty and always newline-terminated).
     std::string_view log = snap.decision_log;
     while (!log.empty()) {
       const std::size_t nl = log.find('\n');
-      p += "dlog ";
-      p += log.substr(0, nl);
-      p += '\n';
+      out.begin("dlog");
+      out.text(log.substr(0, nl));
+      out.end();
       log.remove_prefix(nl == std::string_view::npos ? log.size() : nl + 1);
     }
   }
-
   if (snap.has_health) {
-    p += "health ";
-    append_u64(p, snap.health_poll_count);
-    p += ' ';
-    append_u64(p, snap.health_nodes.size());
-    p += '\n';
-    for (std::size_t n = 0; n < snap.health_nodes.size(); ++n) {
-      const health::HealthMonitor::NodeState& s = snap.health_nodes[n];
-      p += "hnode ";
-      append_u64(p, n);
-      p += ' ';
-      append_u64(p, static_cast<std::uint64_t>(s.state));
-      p += ' ';
-      append_u64(p, s.last_errors);
-      p += ' ';
-      append_u64(p, s.faulty_streak);
-      p += ' ';
-      append_u64(p, s.clean_streak);
-      p += '\n';
-    }
+    put_record(out, "health", health_fields, snap);
+    put_indexed(out, "hnode", hnode_fields, snap.health_nodes);
   }
-
   if (snap.has_governor) {
-    p += "governor ";
-    append_u64(p, snap.governor_stats.epochs);
-    p += ' ';
-    append_u64(p, snap.governor_stats.over_cap_epochs);
-    p += ' ';
-    append_u64(p, snap.governor_stats.throttle_events);
-    p += ' ';
-    append_u64(p, snap.governor_stats.drained_buffers);
-    p += ' ';
-    append_u64(p, snap.governor_stats.drained_bytes);
-    p += ' ';
-    append_double(p, snap.governor_stats.drain_cost_ns);
-    p += '\n';
-    for (std::size_t n = 0; n < snap.governor_streaks.size(); ++n) {
-      p += "gstreak ";
-      append_u64(p, n);
-      p += ' ';
-      append_u64(p, snap.governor_streaks[n]);
-      p += '\n';
-    }
+    put_record(out, "governor", governor_fields, snap.governor_stats);
+    put_indexed(out, "gstreak", scalar_fields, snap.governor_streaks);
   }
-
   if (snap.has_faults) {
-    p += "faults ";
-    append_u64(p, snap.fault_seed);
-    p += ' ';
-    append_u64(p, snap.fault_sites.size());
-    p += '\n';
-    for (const fault::FaultInjector::SiteState& s : snap.fault_sites) {
-      p += "fsite ";
-      append_double(p, s.spec.probability);
-      p += ' ';
-      append_u64(p, s.spec.max_count);
-      p += ' ';
-      append_u64(p, s.spec.burst);
-      p += ' ';
-      append_double(p, s.spec.noise_sigma);
-      p += ' ';
-      append_rng(p, s.rng);
-      append_u64(p, s.consultations);
-      p += ' ';
-      append_u64(p, s.injected);
-      p += ' ';
-      append_u64(p, s.burst_remaining);
-      p += ' ';
-      append_u64(p, s.armed ? 1 : 0);
-      p += ' ';
-      p += s.name;  // last: site names are open-ended strings
-      p += '\n';
+    put_record(out, "faults", faults_fields, snap);
+    for (const fault::FaultInjector::SiteState& site : snap.fault_sites) {
+      put_record(out, "fsite", fsite_fields, site);
     }
   }
-
   if (snap.has_supervisor) {
-    append_breaker(p, 0, snap.migration_breaker);
-    append_breaker(p, 1, snap.evacuation_breaker);
-    p += "watchdog ";
-    append_u64(p, snap.watchdog.prev_engine.considered);
-    p += ' ';
-    append_u64(p, snap.watchdog.prev_engine.accepted);
-    p += ' ';
-    append_u64(p, snap.watchdog.prev_engine.evicted);
-    p += ' ';
-    append_u64(p, snap.watchdog.prev_engine.rejected);
-    p += ' ';
-    append_u64(p, snap.watchdog.prev_engine.failed);
-    p += ' ';
-    append_u64(p, snap.watchdog.prev_engine.migrated_bytes);
-    p += ' ';
-    append_double(p, snap.watchdog.prev_engine.migration_cost_ns);
-    p += ' ';
-    append_u64(p, snap.watchdog.prev_evac_failed);
-    p += ' ';
-    append_u64(p, snap.watchdog.prev_evac_moved);
-    p += ' ';
-    append_u64(p, snap.watchdog.migration_stall_streak);
-    p += ' ';
-    append_u64(p, snap.watchdog.evacuation_stall_streak);
-    p += ' ';
-    append_u64(p, snap.watchdog.stats.epochs_observed);
-    p += ' ';
-    append_u64(p, snap.watchdog.stats.overruns);
-    p += ' ';
-    append_u64(p, snap.watchdog.stats.migration_stall_trips);
-    p += ' ';
-    append_u64(p, snap.watchdog.stats.evacuation_stall_trips);
-    p += '\n';
+    put_record(out, "breaker", breaker_fields, std::uint64_t{0},
+               snap.migration_breaker);
+    put_record(out, "breaker", breaker_fields, std::uint64_t{1},
+               snap.evacuation_breaker);
+    put_record(out, "watchdog", watchdog_fields, snap.watchdog);
   }
 
-  std::string out = kHeader;
-  out += '\n';
-  out += p;
   char checksum[32];
   std::snprintf(checksum, sizeof(checksum), "%016llx",
-                static_cast<unsigned long long>(fnv1a(p)));
-  out += "checksum ";
-  out += checksum;
-  out += "\nend\n";
-  return out;
+                static_cast<unsigned long long>(support::fnv1a64(payload)));
+  return std::string(kHeader) + '\n' + payload + "checksum " + checksum +
+         "\nend\n";
 }
-
-namespace {
-
-bool parse_breaker_line(std::string_view rest, std::uint64_t& which,
-                        CircuitBreaker::State& out) {
-  std::uint64_t state = 0;
-  std::uint64_t cfail = 0;
-  std::uint64_t csucc = 0;
-  std::uint64_t attempt = 0;
-  const bool ok = next_u64(rest, which) && next_u64(rest, state) &&
-                  next_u64(rest, cfail) && next_u64(rest, csucc) &&
-                  next_u64(rest, out.reopen_at_epoch) &&
-                  next_u64(rest, out.stats.opens) &&
-                  next_u64(rest, out.stats.recloses) &&
-                  next_u64(rest, out.stats.probes) &&
-                  next_u64(rest, out.stats.skipped) &&
-                  next_rng(rest, out.backoff.rng) && next_u64(rest, attempt);
-  if (!ok || state > 2 || which > 1) return false;
-  out.state = static_cast<BreakerState>(state);
-  out.consecutive_failures = static_cast<unsigned>(cfail);
-  out.consecutive_successes = static_cast<unsigned>(csucc);
-  out.backoff.attempt = static_cast<unsigned>(attempt);
-  return true;
-}
-
-}  // namespace
 
 Result<Snapshot> parse(std::string_view text) {
-  Cursor cursor{text.data(), text.data() + text.size()};
-  if (cursor.done()) {
-    return parse_error(cursor, "empty snapshot");
+  support::LineReader lines("snapshot", text);
+  if (lines.done()) return lines.error("empty snapshot");
+  const std::string_view header = lines.next();
+  if (header != kHeader) {
+    return lines.error("unsupported snapshot header '" + std::string(header) +
+                       "' (expected " + kHeader + ")");
   }
-  const char* payload_start = nullptr;
-  {
-    const std::string_view header = cursor.next_line();
-    if (header != kHeader) {
-      return parse_error(cursor, "unsupported snapshot header '" +
-                                     std::string(header) + "' (expected " +
-                                     kHeader + ")");
-    }
-    payload_start = cursor.pos;
-  }
-
-  Snapshot snap;
+  const std::size_t payload_start = lines.offset();
+  std::size_t payload_end = payload_start;
+  std::uint64_t declared_checksum = 0;
   bool saw_machine = false;
   bool saw_checksum = false;
   bool saw_end = false;
-  std::uint64_t declared_checksum = 0;
-  const char* payload_end = nullptr;
+  Snapshot snap;
 
-  while (!cursor.done()) {
-    const char* line_start = cursor.pos;
-    std::string_view rest = cursor.next_line();
-    if (rest.empty()) {
-      return parse_error(cursor, "empty line");
-    }
-    const std::string_view tag = take_word(rest);
+  while (!lines.done()) {
+    const std::size_t line_start = lines.offset();
+    support::FieldReader in(lines.next());
+    if (in.rest().empty()) return lines.error("empty line");
+    const std::string_view tag = in.word();
 
     if (tag == "checksum") {
       payload_end = line_start;
-      char* parse_end = nullptr;
-      const std::string owned(rest);
-      declared_checksum = std::strtoull(owned.c_str(), &parse_end, 16);
-      if (parse_end != owned.c_str() + owned.size() || owned.empty()) {
-        return parse_error(cursor, "malformed checksum");
+      const std::string_view digits = in.rest();
+      const char* end = digits.data() + digits.size();
+      const std::from_chars_result parsed =
+          std::from_chars(digits.data(), end, declared_checksum, 16);
+      if (digits.empty() || parsed.ec != std::errc() || parsed.ptr != end) {
+        return lines.error("malformed checksum");
       }
       saw_checksum = true;
       continue;
     }
     if (tag == "end") {
-      if (!saw_checksum) {
-        return parse_error(cursor, "'end' before checksum");
-      }
+      if (!saw_checksum) return lines.error("'end' before checksum");
       saw_end = true;
       break;
     }
-    if (saw_checksum) {
-      return parse_error(cursor, "record after checksum");
+    if (saw_checksum) return lines.error("record after checksum");
+    if (tag == "dlog") {
+      snap.decision_log += in.rest();
+      snap.decision_log += '\n';
+      continue;
     }
 
+    bool ok = false;
     if (tag == "preset") {
-      std::uint64_t probed = 0;
-      if (!next_u64(rest, probed) || probed > 1 || rest.empty()) {
-        return parse_error(cursor, "malformed preset record");
-      }
-      snap.probed = probed == 1;
-      snap.machine_preset = std::string(rest);
+      ok = preset_fields(in, snap);
     } else if (tag == "machine") {
-      if (!next_u64(rest, snap.node_count) ||
-          !next_f64(rest, snap.power_cap_watts)) {
-        return parse_error(cursor, "malformed machine record");
-      }
+      ok = machine_fields(in, snap);
       saw_machine = true;
     } else if (tag == "node") {
-      std::uint64_t index = 0;
-      sim::NodeTelemetry t;
-      std::uint64_t degraded = 0;
-      std::uint64_t online = 0;
-      if (!next_u64(rest, index) || !next_u64(rest, t.capacity_rejections) ||
-          !next_u64(rest, t.offline_rejections) ||
-          !next_u64(rest, t.transient_faults) ||
-          !next_u64(rest, t.ecc_errors) ||
-          !next_u64(rest, t.degraded_events) ||
-          !next_u64(rest, t.thermal_throttle_events) ||
-          !next_u64(rest, degraded) || !next_u64(rest, online) ||
-          index != snap.node_telemetry.size()) {
-        return parse_error(cursor, "malformed node record");
-      }
-      t.degraded = degraded == 1;
-      t.online = online == 1;
-      snap.node_telemetry.push_back(t);
+      ok = get_indexed(in, node_fields, snap.node_telemetry);
     } else if (tag == "npower") {
-      std::uint64_t index = 0;
-      sim::SimMachine::NodePowerState s;
-      std::uint64_t seeded = 0;
-      if (!next_u64(rest, index) || !next_f64(rest, s.dynamic_watts_ema) ||
-          !next_u64(rest, seeded) || index != snap.node_power.size()) {
-        return parse_error(cursor, "malformed npower record");
-      }
-      s.seeded = seeded == 1;
-      snap.node_power.push_back(s);
+      ok = get_indexed(in, npower_fields, snap.node_power);
     } else if (tag == "buffers") {
-      if (!next_u64(rest, snap.buffers_total)) {
-        return parse_error(cursor, "malformed buffers record");
-      }
+      ok = buffers_fields(in, snap);
     } else if (tag == "buffer") {
-      Snapshot::BufferRecord b;
-      std::uint64_t index = 0;
-      std::uint64_t node = 0;
-      std::uint64_t freed = 0;
-      std::uint64_t tenant_id = 0;
-      if (!next_u64(rest, index) || !next_u64(rest, node) ||
-          !next_u64(rest, b.declared_bytes) ||
-          !next_u64(rest, b.backing_bytes) || !next_u64(rest, freed) ||
-          !next_u64(rest, tenant_id) || index != snap.buffers.size()) {
-        return parse_error(cursor, "malformed buffer record");
-      }
-      b.index = static_cast<std::uint32_t>(index);
-      b.node = static_cast<unsigned>(node);
-      b.freed = freed == 1;
-      b.tenant_id = static_cast<std::uint32_t>(tenant_id);
-      b.label = std::string(rest);
-      snap.buffers.push_back(std::move(b));
+      Snapshot::BufferRecord buffer;
+      ok = buffer_fields(in, buffer) && buffer.index == snap.buffers.size();
+      snap.buffers.push_back(std::move(buffer));
     } else if (tag == "tenant") {
-      Snapshot::TenantRecord t;
-      std::uint64_t id = 0;
-      std::uint64_t priority = 0;
-      std::uint64_t live = 0;
-      bool ok = next_u64(rest, id) && next_u64(rest, priority) &&
-                next_f64(rest, t.quota.share_weight) &&
-                next_u64(rest, t.quota.total_cap_bytes);
-      for (std::uint64_t& cap : t.quota.tier_cap_bytes) {
-        ok = ok && next_u64(rest, cap);
-      }
-      ok = ok && next_u64(rest, t.stats.admitted) &&
-           next_u64(rest, t.stats.spilled) && next_u64(rest, t.stats.shed) &&
-           next_u64(rest, t.stats.quota_rejections) && next_u64(rest, live);
-      if (!ok || priority > 2 || rest.empty()) {
-        return parse_error(cursor, "malformed tenant record");
-      }
-      t.id = static_cast<std::uint32_t>(id);
-      t.priority = static_cast<tenant::Priority>(priority);
-      t.live = live == 1;
-      t.name = std::string(rest);
-      snap.tenants.push_back(std::move(t));
+      ok = tenant_fields(in, snap.tenants.emplace_back());
     } else if (tag == "tnext") {
-      std::uint64_t next = 0;
-      if (!next_u64(rest, next) || next == 0) {
-        return parse_error(cursor, "malformed tnext record");
-      }
-      snap.tenants_next_id = static_cast<tenant::TenantId>(next);
+      ok = tnext_fields(in, snap) && snap.tenants_next_id != 0;
     } else if (tag == "astats") {
-      alloc::AllocatorStats& s = snap.alloc_stats;
-      std::uint64_t* fields[] = {&s.allocations,
-                                 &s.fallbacks,
-                                 &s.failures,
-                                 &s.frees,
-                                 &s.migrations,
-                                 &s.bytes_allocated,
-                                 &s.bytes_migrated,
-                                 &s.transient_retries,
-                                 &s.attribute_rescues,
-                                 &s.backpressure_rejections,
-                                 &s.backpressure_health,
-                                 &s.backpressure_quota,
-                                 &s.backpressure_shed,
-                                 &s.tenant_spills,
-                                 &s.retry_backoff_ms};
-      for (std::uint64_t* field : fields) {
-        if (!next_u64(rest, *field)) {
-          return parse_error(cursor, "malformed astats record");
-        }
-      }
+      ok = astats_fields(in, snap.alloc_stats);
     } else if (tag == "reserved") {
       std::uint64_t node = 0;
       std::uint64_t bytes = 0;
-      if (!next_u64(rest, node) || !next_u64(rest, bytes)) {
-        return parse_error(cursor, "malformed reserved record");
+      ok = in(node, bytes) && node < snap.node_telemetry.size();
+      if (ok) {
+        if (node >= snap.reserved_bytes.size()) {
+          snap.reserved_bytes.resize(node + 1, 0);
+        }
+        snap.reserved_bytes[node] = bytes;
       }
-      if (node >= snap.reserved_bytes.size()) {
-        snap.reserved_bytes.resize(node + 1, 0);
-      }
-      snap.reserved_bytes[node] = bytes;
     } else if (tag == "sampler") {
       snap.has_policy = true;
-      std::uint64_t phases = 0;
-      if (!next_rng(rest, snap.sampler.rng) ||
-          !next_f64(rest, snap.sampler.snapshot_clock_ns) ||
-          !next_u64(rest, phases) || !next_u64(rest, snap.sampler.epochs) ||
-          !next_f64(rest, snap.sampler.effective_period) ||
-          !next_f64(rest, snap.sampler.last_cost_ns)) {
-        return parse_error(cursor, "malformed sampler record");
-      }
-      snap.sampler.phases_since_epoch = static_cast<unsigned>(phases);
+      ok = sampler_fields(in, snap.sampler);
     } else if (tag == "period") {
-      std::uint64_t index = 0;
-      double period = 0.0;
-      if (!next_u64(rest, index) || !next_f64(rest, period) ||
-          index != snap.sampler.period_log.size()) {
-        return parse_error(cursor, "malformed period record");
-      }
-      snap.sampler.period_log.push_back(period);
+      ok = get_indexed(in, scalar_fields, snap.sampler.period_log);
     } else if (tag == "classifier") {
-      std::uint64_t count = 0;
-      if (!next_f64(rest, snap.classifier_ema_total_bytes) ||
-          !next_u64(rest, count)) {
-        return parse_error(cursor, "malformed classifier record");
-      }
-      snap.classifier_states.reserve(count);
+      ok = classifier_fields(in, snap);
     } else if (tag == "cstate") {
-      runtime::OnlineClassifier::BufferState s;
-      std::uint64_t index = 0;
-      std::uint64_t tracked = 0;
-      std::uint64_t committed = 0;
-      std::uint64_t pending = 0;
-      std::uint64_t streak = 0;
-      if (!next_u64(rest, index) || !next_u64(rest, tracked) ||
-          !next_f64(rest, s.ema.reads) || !next_f64(rest, s.ema.writes) ||
-          !next_f64(rest, s.ema.llc_misses) ||
-          !next_f64(rest, s.ema.memory_bytes) ||
-          !next_f64(rest, s.ema.random_accesses) ||
-          !next_f64(rest, s.ema.random_misses) ||
-          !next_u64(rest, committed) || !next_u64(rest, pending) ||
-          !next_u64(rest, streak) || committed > 2 || pending > 2 ||
-          index != snap.classifier_states.size()) {
-        return parse_error(cursor, "malformed cstate record");
-      }
-      s.tracked = tracked == 1;
-      s.committed = static_cast<prof::Sensitivity>(committed);
-      s.pending = static_cast<prof::Sensitivity>(pending);
-      s.disagreement_streak = static_cast<unsigned>(streak);
-      snap.classifier_states.push_back(s);
+      ok = get_indexed(in, cstate_fields, snap.classifier_states);
     } else if (tag == "engine") {
-      runtime::EngineStats& s = snap.engine_stats;
-      if (!next_u64(rest, s.considered) || !next_u64(rest, s.accepted) ||
-          !next_u64(rest, s.evicted) || !next_u64(rest, s.rejected) ||
-          !next_u64(rest, s.failed) || !next_u64(rest, s.migrated_bytes) ||
-          !next_f64(rest, s.migration_cost_ns) ||
-          !next_u64(rest, snap.engine_max_epoch_bytes)) {
-        return parse_error(cursor, "malformed engine record");
-      }
-    } else if (tag == "dlog") {
-      snap.decision_log += rest;
-      snap.decision_log += '\n';
+      ok = engine_fields(in, snap);
     } else if (tag == "health") {
       snap.has_health = true;
-      std::uint64_t count = 0;
-      if (!next_u64(rest, snap.health_poll_count) || !next_u64(rest, count)) {
-        return parse_error(cursor, "malformed health record");
-      }
-      snap.health_nodes.reserve(count);
+      ok = health_fields(in, snap);
     } else if (tag == "hnode") {
-      health::HealthMonitor::NodeState s;
-      std::uint64_t index = 0;
-      std::uint64_t state = 0;
-      std::uint64_t faulty = 0;
-      std::uint64_t clean = 0;
-      if (!next_u64(rest, index) || !next_u64(rest, state) ||
-          !next_u64(rest, s.last_errors) || !next_u64(rest, faulty) ||
-          !next_u64(rest, clean) || state > 3 ||
-          index != snap.health_nodes.size()) {
-        return parse_error(cursor, "malformed hnode record");
-      }
-      s.state = static_cast<health::HealthState>(state);
-      s.faulty_streak = static_cast<unsigned>(faulty);
-      s.clean_streak = static_cast<unsigned>(clean);
-      snap.health_nodes.push_back(s);
+      ok = get_indexed(in, hnode_fields, snap.health_nodes);
     } else if (tag == "governor") {
       snap.has_governor = true;
-      power::GovernorStats& s = snap.governor_stats;
-      if (!next_u64(rest, s.epochs) || !next_u64(rest, s.over_cap_epochs) ||
-          !next_u64(rest, s.throttle_events) ||
-          !next_u64(rest, s.drained_buffers) ||
-          !next_u64(rest, s.drained_bytes) ||
-          !next_f64(rest, s.drain_cost_ns)) {
-        return parse_error(cursor, "malformed governor record");
-      }
+      ok = governor_fields(in, snap.governor_stats);
     } else if (tag == "gstreak") {
-      std::uint64_t index = 0;
-      std::uint64_t streak = 0;
-      if (!next_u64(rest, index) || !next_u64(rest, streak) ||
-          index != snap.governor_streaks.size()) {
-        return parse_error(cursor, "malformed gstreak record");
-      }
-      snap.governor_streaks.push_back(static_cast<unsigned>(streak));
+      ok = get_indexed(in, scalar_fields, snap.governor_streaks);
     } else if (tag == "faults") {
       snap.has_faults = true;
-      std::uint64_t count = 0;
-      if (!next_u64(rest, snap.fault_seed) || !next_u64(rest, count)) {
-        return parse_error(cursor, "malformed faults record");
-      }
-      snap.fault_sites.reserve(count);
+      ok = faults_fields(in, snap);
     } else if (tag == "fsite") {
-      fault::FaultInjector::SiteState s;
-      std::uint64_t burst = 0;
-      std::uint64_t burst_remaining = 0;
-      std::uint64_t armed = 0;
-      if (!next_f64(rest, s.spec.probability) ||
-          !next_u64(rest, s.spec.max_count) || !next_u64(rest, burst) ||
-          !next_f64(rest, s.spec.noise_sigma) || !next_rng(rest, s.rng) ||
-          !next_u64(rest, s.consultations) || !next_u64(rest, s.injected) ||
-          !next_u64(rest, burst_remaining) || !next_u64(rest, armed) ||
-          rest.empty()) {
-        return parse_error(cursor, "malformed fsite record");
-      }
-      s.spec.burst = static_cast<unsigned>(burst);
-      s.burst_remaining = static_cast<unsigned>(burst_remaining);
-      s.armed = armed == 1;
-      s.name = std::string(rest);
-      snap.fault_sites.push_back(std::move(s));
+      ok = fsite_fields(in, snap.fault_sites.emplace_back());
     } else if (tag == "breaker") {
       snap.has_supervisor = true;
       std::uint64_t which = 0;
-      CircuitBreaker::State s;
-      if (!parse_breaker_line(rest, which, s)) {
-        return parse_error(cursor, "malformed breaker record");
+      CircuitBreaker::State state;
+      ok = breaker_fields(in, which, state) && which <= 1;
+      if (ok) {
+        (which == 0 ? snap.migration_breaker : snap.evacuation_breaker) =
+            state;
       }
-      (which == 0 ? snap.migration_breaker : snap.evacuation_breaker) = s;
     } else if (tag == "watchdog") {
       snap.has_supervisor = true;
-      Watchdog::State& w = snap.watchdog;
-      std::uint64_t mstreak = 0;
-      std::uint64_t estreak = 0;
-      if (!next_u64(rest, w.prev_engine.considered) ||
-          !next_u64(rest, w.prev_engine.accepted) ||
-          !next_u64(rest, w.prev_engine.evicted) ||
-          !next_u64(rest, w.prev_engine.rejected) ||
-          !next_u64(rest, w.prev_engine.failed) ||
-          !next_u64(rest, w.prev_engine.migrated_bytes) ||
-          !next_f64(rest, w.prev_engine.migration_cost_ns) ||
-          !next_u64(rest, w.prev_evac_failed) ||
-          !next_u64(rest, w.prev_evac_moved) || !next_u64(rest, mstreak) ||
-          !next_u64(rest, estreak) ||
-          !next_u64(rest, w.stats.epochs_observed) ||
-          !next_u64(rest, w.stats.overruns) ||
-          !next_u64(rest, w.stats.migration_stall_trips) ||
-          !next_u64(rest, w.stats.evacuation_stall_trips)) {
-        return parse_error(cursor, "malformed watchdog record");
-      }
-      w.migration_stall_streak = static_cast<unsigned>(mstreak);
-      w.evacuation_stall_streak = static_cast<unsigned>(estreak);
+      ok = watchdog_fields(in, snap.watchdog);
     } else {
-      return parse_error(cursor, "unknown record '" + std::string(tag) + "'");
+      return lines.error("unknown record '" + std::string(tag) + "'");
     }
+    if (!ok) return lines.error("malformed " + std::string(tag) + " record");
   }
 
   if (!saw_end) {
-    return parse_error(cursor,
-                       "truncated snapshot (missing 'end' sentinel)");
+    return lines.error("truncated snapshot (missing 'end' sentinel)");
   }
   if (!saw_machine) {
-    return parse_error(cursor, "snapshot has no machine record");
+    return lines.error("snapshot has no machine record");
   }
-  const std::string_view payload(
-      payload_start, static_cast<std::size_t>(payload_end - payload_start));
-  if (fnv1a(payload) != declared_checksum) {
+  if (support::fnv1a64(text.substr(payload_start,
+                                   payload_end - payload_start)) !=
+      declared_checksum) {
     return make_error(Errc::kInvalidArgument,
                       "snapshot checksum mismatch (corrupt or bit-flipped "
                       "file; refusing to restore)");

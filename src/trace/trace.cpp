@@ -1,78 +1,18 @@
 #include "hetmem/trace/trace.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <utility>
 
+#include "hetmem/support/line_codec.hpp"
+
 namespace hetmem::trace {
 
-using support::Errc;
-using support::make_error;
 using support::Result;
 
 namespace {
 
-constexpr const char* kHeaderV1 = "hetmem-trace/1";
-constexpr const char* kHeaderV2 = "hetmem-trace/2";
-
-// Hexfloat ("%a") is the one printf format that round-trips every finite
-// double exactly through strtod — the lossless-serialization property the
-// replay determinism gate rests on.
-void append_double(std::string& out, double value) {
-  char buffer[48];
-  std::snprintf(buffer, sizeof(buffer), "%a", value);
-  out += buffer;
-}
-
-struct Cursor {
-  const char* pos;
-  const char* end;
-  std::size_t line = 1;
-
-  [[nodiscard]] bool done() const { return pos >= end; }
-
-  /// Consumes one line, returning it without the trailing newline.
-  std::string_view next_line() {
-    const char* start = pos;
-    while (pos < end && *pos != '\n') ++pos;
-    std::string_view result(start, static_cast<std::size_t>(pos - start));
-    if (pos < end) ++pos;  // swallow '\n'
-    ++line;
-    return result;
-  }
-};
-
-support::Error parse_error(const Cursor& cursor, const std::string& what) {
-  return make_error(Errc::kInvalidArgument,
-                    "trace parse error at line " +
-                        std::to_string(cursor.line - 1) + ": " + what);
-}
-
-/// Splits `text` at the first space; returns the head, advances `text`.
-std::string_view take_word(std::string_view& text) {
-  const std::size_t space = text.find(' ');
-  std::string_view word = text.substr(0, space);
-  text.remove_prefix(space == std::string_view::npos ? text.size() : space + 1);
-  return word;
-}
-
-bool parse_u64(std::string_view word, std::uint64_t& out) {
-  if (word.empty()) return false;
-  char* parse_end = nullptr;
-  const std::string owned(word);
-  out = std::strtoull(owned.c_str(), &parse_end, 10);
-  return parse_end == owned.c_str() + owned.size();
-}
-
-bool parse_f64(std::string_view word, double& out) {
-  if (word.empty()) return false;
-  char* parse_end = nullptr;
-  const std::string owned(word);
-  out = std::strtod(owned.c_str(), &parse_end);
-  return parse_end == owned.c_str() + owned.size();
-}
+constexpr const char* kHeader = "hetmem-trace/2";
 
 sim::BufferTraffic latency_profile(const SynthOptions& options) {
   // A pointer-chase shape: every access dependent-indexed, ~97% missing the
@@ -142,33 +82,20 @@ void push_epoch(Trace& trace, std::uint64_t index, double duration_ns,
 }  // namespace
 
 std::string serialize(const Trace& trace) {
-  const bool v2 = trace.version >= 2;
-  std::string out;
-  out += v2 ? kHeaderV2 : kHeaderV1;
-  out += '\n';
-  out += "workload " + trace.workload + '\n';
-  out += "threads " + std::to_string(trace.threads) + '\n';
-  out += "phases_per_epoch " + std::to_string(trace.phases_per_epoch) + '\n';
+  std::string out = std::string(kHeader) + '\n';
+  support::RecordWriter record(out);
+  record.begin("workload");
+  record.text(trace.workload);
+  record.end();
+  record.line("threads", trace.threads);
+  record.line("phases_per_epoch", trace.phases_per_epoch);
   for (const runtime::Epoch& epoch : trace.epochs) {
-    out += "epoch " + std::to_string(epoch.index) + ' ';
-    append_double(out, epoch.duration_ns);
-    if (v2) {
-      out += ' ';
-      append_double(out, epoch.sample_period);
-    }
-    out += '\n';
+    record.line("epoch", epoch.index, epoch.duration_ns, epoch.sample_period);
     for (const runtime::EpochSample& sample : epoch.samples) {
-      out += "s " + std::to_string(sample.buffer.index);
-      const double fields[] = {
-          sample.traffic.reads,          sample.traffic.writes,
-          sample.traffic.llc_misses,     sample.traffic.memory_bytes,
-          sample.traffic.random_accesses, sample.traffic.random_misses,
-      };
-      for (double field : fields) {
-        out += ' ';
-        append_double(out, field);
-      }
-      out += '\n';
+      record.begin("s");
+      record(sample.buffer.index);
+      sim::traffic_fields(record, sample.traffic);
+      record.end();
     }
   }
   out += "end\n";
@@ -176,128 +103,76 @@ std::string serialize(const Trace& trace) {
 }
 
 Result<Trace> parse(std::string_view text) {
-  Cursor cursor{text.data(), text.data() + text.size()};
+  support::LineReader lines("trace", text);
+  if (lines.done() || lines.next() != kHeader) {
+    return lines.error(std::string("expected header ") + kHeader);
+  }
   Trace trace;
-  if (cursor.done()) {
-    return parse_error(cursor, std::string("expected header ") + kHeaderV1 +
-                                   " or " + kHeaderV2);
-  }
-  const std::string_view header = cursor.next_line();
-  if (header == kHeaderV1) {
-    trace.version = 1;
-  } else if (header == kHeaderV2) {
-    trace.version = 2;
-  } else {
-    return parse_error(cursor, std::string("expected header ") + kHeaderV1 +
-                                   " or " + kHeaderV2);
-  }
   trace.workload.clear();
   runtime::Epoch* epoch = nullptr;
-  bool ended = false;
-  std::uint64_t number = 0;
-
-  while (!cursor.done()) {
-    std::string_view rest = cursor.next_line();
-    if (rest.empty()) continue;
-    const std::string_view tag = take_word(rest);
+  while (!lines.done()) {
+    support::FieldReader in(lines.next());
+    if (in.rest().empty()) continue;
+    const std::string_view tag = in.word();
     if (tag == "workload") {
-      trace.workload = std::string(rest);
+      in.text(trace.workload);
     } else if (tag == "threads") {
-      if (!parse_u64(take_word(rest), number)) {
-        return parse_error(cursor, "bad thread count");
-      }
-      trace.threads = static_cast<unsigned>(number);
+      if (!in(trace.threads)) return lines.error("bad thread count");
     } else if (tag == "phases_per_epoch") {
-      if (!parse_u64(take_word(rest), number)) {
-        return parse_error(cursor, "bad phases_per_epoch");
+      if (!in(trace.phases_per_epoch)) {
+        return lines.error("bad phases_per_epoch");
       }
-      trace.phases_per_epoch = static_cast<unsigned>(number);
     } else if (tag == "epoch") {
-      runtime::Epoch next;
-      if (!parse_u64(take_word(rest), next.index) ||
-          !parse_f64(take_word(rest), next.duration_ns)) {
-        return parse_error(cursor, "bad epoch line");
+      runtime::Epoch& next = trace.epochs.emplace_back();
+      if (!in(next.index, next.duration_ns)) {
+        return lines.error("bad epoch line");
       }
-      if (trace.version >= 2 &&
-          !parse_f64(take_word(rest), next.sample_period)) {
-        return parse_error(cursor, "bad epoch line (v2 needs sample_period)");
+      if (!in(next.sample_period)) {
+        return lines.error("bad epoch line (v2 needs sample_period)");
       }
-      trace.epochs.push_back(std::move(next));
-      epoch = &trace.epochs.back();
+      epoch = &next;
     } else if (tag == "s") {
-      if (epoch == nullptr) {
-        return parse_error(cursor, "sample before any epoch");
-      }
-      runtime::EpochSample sample;
-      if (!parse_u64(take_word(rest), number)) {
-        return parse_error(cursor, "bad buffer id");
-      }
-      sample.buffer = sim::BufferId{static_cast<std::uint32_t>(number)};
-      double* fields[] = {
-          &sample.traffic.reads,          &sample.traffic.writes,
-          &sample.traffic.llc_misses,     &sample.traffic.memory_bytes,
-          &sample.traffic.random_accesses, &sample.traffic.random_misses,
-      };
-      for (double* field : fields) {
-        if (!parse_f64(take_word(rest), *field)) {
-          return parse_error(cursor, "bad sample counter");
-        }
+      if (epoch == nullptr) return lines.error("sample before any epoch");
+      runtime::EpochSample& sample = epoch->samples.emplace_back();
+      if (!in(sample.buffer.index)) return lines.error("bad buffer id");
+      if (!sim::traffic_fields(in, sample.traffic)) {
+        return lines.error("bad sample counter");
       }
       // total_memory_bytes is derived, summed in sample order exactly as
       // the recorder summed it — same additions, same rounding, same bits.
       epoch->total_memory_bytes += sample.traffic.memory_bytes;
-      epoch->samples.push_back(std::move(sample));
     } else if (tag == "end") {
-      ended = true;
-      break;
+      return trace;
     } else {
-      return parse_error(cursor, "unknown record '" + std::string(tag) + "'");
+      return lines.error("unknown record '" + std::string(tag) + "'");
     }
   }
-  if (!ended) {
-    return parse_error(cursor, "truncated trace (missing 'end')");
-  }
-  return trace;
+  return lines.error("truncated trace (missing 'end')");
 }
 
 TraceRecorder::TraceRecorder(RecorderOptions options)
     : options_(std::move(options)) {
   options_.phases_per_epoch = std::max(1u, options_.phases_per_epoch);
-  trace_.version = 2;
   trace_.workload = options_.workload;
   trace_.phases_per_epoch = options_.phases_per_epoch;
 }
 
 void TraceRecorder::record_epoch(const sim::ExecutionContext& exec) {
-  std::vector<sim::BufferTraffic> merged = exec.merged_buffer_traffic();
-  if (snapshot_.size() < merged.size()) snapshot_.resize(merged.size());
-
-  runtime::Epoch epoch;
-  epoch.index = trace_.epochs.size();
+  runtime::Epoch& epoch = trace_.epochs.emplace_back();
+  epoch.index = trace_.epochs.size() - 1;
   epoch.duration_ns = exec.clock_ns() - snapshot_clock_ns_;
-  for (std::uint32_t index = 0; index < merged.size(); ++index) {
-    const sim::BufferTraffic& now = merged[index];
-    const sim::BufferTraffic& then = snapshot_[index];
-    sim::BufferTraffic delta;
-    delta.reads = now.reads - then.reads;
-    delta.writes = now.writes - then.writes;
-    delta.llc_misses = now.llc_misses - then.llc_misses;
-    delta.memory_bytes = now.memory_bytes - then.memory_bytes;
-    delta.random_accesses = now.random_accesses - then.random_accesses;
-    delta.random_misses = now.random_misses - then.random_misses;
-    // Same inclusion rule as EpochSampler::make_epoch, so a replaying
-    // sampler consumes its rounding stream in lockstep with the live one.
-    const bool any = delta.reads > 0.0 || delta.writes > 0.0 ||
-                     delta.memory_bytes > 0.0;
-    if (!any) continue;
-    epoch.total_memory_bytes += delta.memory_bytes;
-    epoch.samples.push_back(runtime::EpochSample{sim::BufferId{index}, delta});
-  }
-  snapshot_ = std::move(merged);
+  // The sampler's own delta stream (same order, same inclusion rule), so a
+  // replaying sampler consumes its rounding stream in lockstep with the
+  // live one.
+  exec.read_traffic_deltas(
+      reader_, [&](std::uint32_t index, const sim::BufferTraffic& delta) {
+        epoch.total_memory_bytes += delta.memory_bytes;
+        epoch.samples.push_back(
+            runtime::EpochSample{sim::BufferId{index}, delta});
+      });
   snapshot_clock_ns_ = exec.clock_ns();
   phases_since_epoch_ = 0;
   trace_.threads = exec.thread_count();
-  trace_.epochs.push_back(std::move(epoch));
 }
 
 void TraceRecorder::on_phase(const sim::ExecutionContext& exec) {

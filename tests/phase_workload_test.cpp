@@ -27,6 +27,7 @@
 #include "hetmem/power/governor.hpp"
 #include "hetmem/power/power.hpp"
 #include "hetmem/runtime/policy.hpp"
+#include "hetmem/support/line_codec.hpp"
 #include "hetmem/support/units.hpp"
 #include "hetmem/tenant/arbiter.hpp"
 #include "hetmem/tenant/tenant.hpp"
@@ -620,16 +621,6 @@ TEST(KvCachePhaseChaosTest, ChargesMatchMovedBytesUnderMigrateFaults) {
 // Both movers' decision logs, pinned across commits
 // ---------------------------------------------------------------------------
 
-/// FNV-1a, 64-bit: the digest the pinned logs are compared by.
-std::uint64_t fnv1a64(const std::string& text) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
-
 /// Both movers' verdicts and rendered logs from one digest scenario run.
 struct MoverLogs {
   std::set<runtime::Verdict> engine_verdicts;
@@ -739,10 +730,10 @@ TEST(KvCachePhaseChaosTest, DecisionLogsMatchRecordedDigests) {
   }
 
   EXPECT_EQ(logs.engine_log.size(), 12417u);
-  EXPECT_EQ(fnv1a64(logs.engine_log), 0x23beeda4bdba58d1ull)
+  EXPECT_EQ(support::fnv1a64(logs.engine_log), 0x23beeda4bdba58d1ull)
       << logs.engine_log;
   EXPECT_EQ(logs.evacuator_log.size(), 33034u);
-  EXPECT_EQ(fnv1a64(logs.evacuator_log), 0x75a16d3014c82471ull)
+  EXPECT_EQ(support::fnv1a64(logs.evacuator_log), 0x75a16d3014c82471ull)
       << logs.evacuator_log;
 }
 
@@ -767,10 +758,10 @@ TEST(KvCachePhaseChaosTest, DecisionLogsWithoutFaultsMatchRecordedDigests) {
             0u);
 
   EXPECT_EQ(logs.engine_log.size(), 13124u);
-  EXPECT_EQ(fnv1a64(logs.engine_log), 0x0ee549a50e5d2d76ull)
+  EXPECT_EQ(support::fnv1a64(logs.engine_log), 0x0ee549a50e5d2d76ull)
       << logs.engine_log;
   EXPECT_EQ(logs.evacuator_log.size(), 16450u);
-  EXPECT_EQ(fnv1a64(logs.evacuator_log), 0x0cb7b5cbadaf3fd3ull)
+  EXPECT_EQ(support::fnv1a64(logs.evacuator_log), 0x0cb7b5cbadaf3fd3ull)
       << logs.evacuator_log;
 }
 

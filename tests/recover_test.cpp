@@ -10,13 +10,20 @@
 // adaptive-period variants).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "hetmem/alloc/allocator.hpp"
 #include "hetmem/fault/fault.hpp"
+#include "hetmem/health/evacuator.hpp"
+#include "hetmem/health/health.hpp"
 #include "hetmem/hmat/hmat.hpp"
 #include "hetmem/memattr/memattr.hpp"
+#include "hetmem/power/governor.hpp"
 #include "hetmem/recover/breaker.hpp"
 #include "hetmem/recover/snapshot.hpp"
 #include "hetmem/recover/supervisor.hpp"
@@ -25,15 +32,22 @@
 #include "hetmem/simmem/array.hpp"
 #include "hetmem/simmem/exec.hpp"
 #include "hetmem/simmem/machine.hpp"
+#include "hetmem/support/line_codec.hpp"
 #include "hetmem/support/rng.hpp"
 #include "hetmem/support/units.hpp"
 #include "hetmem/tenant/tenant.hpp"
 #include "hetmem/topo/presets.hpp"
 #include "hetmem/trace/trace.hpp"
+#include "text_records.hpp"
 
 namespace {
 
 using namespace hetmem;
+using hetmem_test::first_tagged;
+using hetmem_test::first_word;
+using hetmem_test::lines_of;
+using hetmem_test::with_field;
+using hetmem_test::with_line;
 using support::kGiB;
 using support::kMiB;
 
@@ -163,6 +177,252 @@ TEST(SnapshotFormatTest, SerializeParseIsAFixedPoint) {
   EXPECT_TRUE(parsed->has_faults);
   EXPECT_EQ(parsed->fault_seed, 42u);
   EXPECT_TRUE(parsed->has_supervisor);
+}
+
+/// rich_snapshot's setup plus a tenant registry (one live tenant, one
+/// deregistered tenant that still owns a buffer), a reservation, a health
+/// monitor and a power governor, driven through TraceReplayer, which never
+/// times the sampler on the host clock. The text fills all 24 record types
+/// and is the same on every run; empty when the setup fails.
+std::string pinned_snapshot_text() {
+  Scenario scenario;
+  tenant::TenantRegistry tenants;
+  scenario.allocator.set_tenant_registry(&tenants);
+  auto live = tenants.register_tenant("live", tenant::Priority::kNormal,
+                                      tenant::TenantQuota{});
+  auto doomed = tenants.register_tenant(
+      "doomed", tenant::Priority::kBestEffort, tenant::TenantQuota{});
+  if (!scenario.ok || !live.ok() || !doomed.ok()) return {};
+  alloc::AllocRequest request;
+  request.bytes = 64 * kMiB;
+  request.initiator = scenario.initiator;
+  request.label = "charged";
+  request.tenant = *live;
+  if (!scenario.allocator.mem_alloc(request).ok()) return {};
+  request.bytes = 32 * kMiB;
+  request.label = "orphaned";
+  request.tenant = *doomed;
+  if (!scenario.allocator.mem_alloc(request).ok()) return {};
+  if (!tenants.deregister_tenant(*doomed).ok()) return {};
+  if (!scenario.allocator.reserve(scenario.fast, 8 * kMiB).ok()) return {};
+
+  fault::FaultInjector faults(42);
+  fault::FaultSpec spec;
+  spec.probability = 0.25;
+  faults.configure(fault::site::kMachineMigrateTransient, spec);
+  for (int i = 0; i < 10; ++i) {
+    (void)faults.should_fail(fault::site::kMachineMigrateTransient);
+  }
+  runtime::RuntimePolicyOptions options = scenario_options();
+  options.sampler.sample_period = 10.0;
+  runtime::RuntimePolicy policy(scenario.allocator, scenario.initiator,
+                                options);
+  health::HealthMonitor monitor(scenario.machine, scenario.registry);
+  health::Evacuator evacuator(scenario.allocator, policy.mutable_engine(),
+                              scenario.initiator);
+  health::attach_health(policy, monitor, evacuator);
+  power::PowerGovernor governor(scenario.allocator, policy.mutable_engine(),
+                                scenario.initiator);
+  power::attach_governor(policy, governor);
+  recover::Supervisor supervisor(&faults);
+  supervisor.attach(policy);
+  trace::TraceReplayer replayer(policy);
+  (void)replayer.replay(rotation_trace(12));
+
+  recover::CaptureSources sources;
+  sources.machine = &scenario.machine;
+  sources.allocator = &scenario.allocator;
+  sources.tenants = &tenants;
+  sources.policy = &policy;
+  sources.health = &monitor;
+  sources.governor = &governor;
+  sources.faults = &faults;
+  sources.supervisor = &supervisor;
+  sources.machine_preset = "xeon_clx_1lm";
+  return recover::serialize(recover::capture(sources));
+}
+
+TEST(SnapshotFormatTest, SerializedSnapshotMatchesRecordedDigest) {
+  const std::string text = pinned_snapshot_text();
+  ASSERT_FALSE(text.empty());
+  std::set<std::string> tags;
+  for (const std::string& line : lines_of(text)) tags.insert(first_word(line));
+  const std::set<std::string> want = {
+      "hetmem-snap/1", "preset",  "machine",    "node",   "npower",
+      "buffers",       "buffer",  "tenant",     "tnext",  "astats",
+      "reserved",      "sampler", "period",     "classifier",
+      "cstate",        "engine",  "dlog",       "health", "hnode",
+      "governor",      "gstreak", "faults",     "fsite",  "breaker",
+      "watchdog",      "checksum", "end"};
+  EXPECT_EQ(tags, want);
+  // Pinned bytes: any change to how a record is written moves them, and a
+  // wire-format change needs a new `hetmem-snap` version.
+  EXPECT_EQ(text.size(), 2944u);
+  EXPECT_EQ(support::fnv1a64(text), 0xd90ef77f980a9defull)
+      << std::hex << support::fnv1a64(text);
+}
+
+/// Numeric fields ahead of the free-text tail, for the records that end in
+/// one; every other record's fields are all numeric.
+std::size_t numeric_fields(const std::string& line) {
+  const std::string tag = first_word(line);
+  if (tag == "preset") return 1;
+  if (tag == "buffer") return 6;
+  if (tag == "tenant") return 14;
+  if (tag == "fsite") return 12;
+  return static_cast<std::size_t>(
+      std::count(line.begin(), line.end(), ' '));
+}
+
+TEST(SnapshotRejectionTest, EveryNumericFieldAndIndexIsChecked) {
+  const std::string text = pinned_snapshot_text();
+  ASSERT_FALSE(text.empty());
+  const std::vector<std::string> lines = lines_of(text);
+  const std::set<std::string> indexed = {"node",   "npower", "buffer", "period",
+                                         "cstate", "hnode",  "gstreak"};
+  std::size_t cases = 0;
+  auto expect_malformed = [&](std::size_t at, const std::string& line) {
+    auto parsed = recover::parse(with_line(lines, at, line));
+    ASSERT_FALSE(parsed.ok()) << line;
+    EXPECT_EQ(parsed.error().message,
+              "snapshot parse error at line " + std::to_string(at + 1) +
+                  ": malformed " + first_word(lines[at]) + " record")
+        << line;
+    ++cases;
+  };
+  for (std::size_t at = 1; at < lines.size(); ++at) {
+    const std::string tag = first_word(lines[at]);
+    if (tag == "dlog" || tag == "checksum" || tag == "end") continue;
+    for (std::size_t field = 1; field <= numeric_fields(lines[at]); ++field) {
+      expect_malformed(at, with_field(lines[at], field, "x"));
+    }
+    if (indexed.count(tag) != 0) {
+      const std::uint64_t index = std::stoull(lines[at].substr(tag.size()));
+      expect_malformed(at, with_field(lines[at], 1, std::to_string(index + 1)));
+    }
+  }
+  EXPECT_GT(cases, 300u);
+}
+
+/// Rewrites the checksum line to match the (possibly damaged) payload, so
+/// the damage reaches the record parsers instead of stopping at the
+/// checksum.
+std::string rechecksummed(std::string text) {
+  const std::size_t header_end = text.find('\n');
+  const std::size_t at = text.rfind("\nchecksum ");
+  if (header_end == std::string::npos || at == std::string::npos ||
+      at < header_end) {
+    return text;
+  }
+  const std::size_t digits = at + 10;
+  const std::size_t line_end = text.find('\n', digits);
+  char hex[32];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(support::fnv1a64(
+                    std::string_view(text).substr(header_end + 1,
+                                                  at - header_end))));
+  text.replace(digits,
+               (line_end == std::string::npos ? text.size() : line_end) -
+                   digits,
+               hex);
+  return text;
+}
+
+TEST(SnapshotRejectionTest, RangeChecksBoolsIntegersAndSigns) {
+  // Inputs the parser accepted before its fields went through
+  // support::FieldReader: it read any bool other than 1 as false, cut
+  // integers to their field's width, let strtoull take signs, leading
+  // whitespace and out-of-range values, and grew the reservation table to
+  // whatever node a `reserved` record named.
+  const std::string text = pinned_snapshot_text();
+  ASSERT_FALSE(text.empty());
+  const std::vector<std::string> lines = lines_of(text);
+  struct Case {
+    const char* tag;
+    std::size_t field;
+    const char* value;
+  };
+  const Case cases[] = {
+      // bools other than 0/1
+      {"node", 8, "2"},
+      {"node", 9, "2"},
+      {"npower", 3, "2"},
+      {"buffer", 5, "2"},
+      {"tenant", 14, "2"},
+      {"cstate", 2, "2"},
+      {"fsite", 12, "2"},
+      // integers too large for their 32-bit field
+      {"buffer", 2, "4294967296"},
+      {"buffer", 6, "4294967296"},
+      {"tenant", 1, "4294967296"},
+      {"tnext", 1, "4294967296"},
+      {"sampler", 6, "4294967296"},
+      {"cstate", 11, "4294967296"},
+      {"hnode", 4, "4294967296"},
+      {"gstreak", 2, "4294967296"},
+      {"fsite", 3, "4294967296"},
+      {"breaker", 3, "4294967296"},
+      {"breaker", 14, "4294967296"},
+      {"watchdog", 10, "4294967296"},
+      // ... and for a 64-bit one
+      {"astats", 1, "18446744073709551616"},
+      {"machine", 1, "18446744073709551616"},
+      // signs and leading whitespace
+      {"astats", 1, "-1"},
+      {"astats", 2, "+1"},
+      {"engine", 1, "-1"},
+      {"node", 1, "+0"},
+      {"astats", 3, "\t1"},
+      // a reservation on a node no `node` record listed
+      {"reserved", 1, "4"},
+  };
+  for (const Case& c : cases) {
+    const std::size_t at = first_tagged(lines, c.tag);
+    ASSERT_LT(at, lines.size()) << c.tag;
+    const std::string line = with_field(lines[at], c.field, c.value);
+    auto parsed = recover::parse(with_line(lines, at, line));
+    ASSERT_FALSE(parsed.ok()) << line;
+    EXPECT_EQ(parsed.error().message,
+              "snapshot parse error at line " + std::to_string(at + 1) +
+                  ": malformed " + c.tag + " record")
+        << line;
+  }
+
+  // The checksum is bare hex digits: no prefix, sign or leading space.
+  const std::size_t digits = text.rfind("checksum ") + 9;
+  for (const char* prefix : {"0x", "+", "\t"}) {
+    std::string damaged = text;
+    damaged.insert(digits, prefix);
+    auto parsed = recover::parse(damaged);
+    ASSERT_FALSE(parsed.ok()) << prefix;
+    EXPECT_NE(parsed.error().message.find("malformed checksum"),
+              std::string::npos)
+        << parsed.error().message;
+  }
+}
+
+TEST(SnapshotRejectionTest, SeededDamageFailsOrReachesAFixedPoint) {
+  const std::string text = pinned_snapshot_text();
+  ASSERT_FALSE(text.empty());
+  ASSERT_TRUE(recover::parse(rechecksummed(text)).ok());
+  support::Xoshiro256 rng(0x5eed5a9);
+  std::size_t accepted = 0;
+  for (int round = 0; round < 2000; ++round) {
+    std::string damaged = hetmem_test::damage(text, rng);
+    if (round % 2 == 1) damaged = rechecksummed(std::move(damaged));
+    auto parsed = recover::parse(damaged);
+    if (!parsed.ok()) {
+      EXPECT_FALSE(parsed.error().message.empty());
+      continue;
+    }
+    ++accepted;
+    const std::string again = recover::serialize(*parsed);
+    auto reparsed = recover::parse(again);
+    ASSERT_TRUE(reparsed.ok()) << "round " << round << ": "
+                               << reparsed.error().message;
+    EXPECT_EQ(recover::serialize(*reparsed), again) << "round " << round;
+  }
+  EXPECT_GT(accepted, 0u) << "some damage must reach a successful parse";
 }
 
 TEST(SnapshotFormatTest, RejectsTruncatedBitFlippedAndVersionBumpedFiles) {

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <string>
+#include <string_view>
 #include <vector>
 
+#include "hetmem/support/line_codec.hpp"
 #include "hetmem/support/rng.hpp"
 #include "hetmem/support/str.hpp"
 #include "hetmem/support/table.hpp"
@@ -322,6 +326,103 @@ TEST(ThreadPool, ReusableAcrossCalls) {
     });
   }
   EXPECT_EQ(sum.load(), 50L * (99 * 100 / 2));
+}
+
+// --- line codec ---
+
+enum class Shade : std::uint8_t { kLight, kDark, kBlack };
+
+struct Record {
+  std::uint64_t wide = 0;
+  unsigned narrow = 0;
+  bool flag = false;
+  double value = 0.0;
+  std::array<std::uint64_t, 2> pair{};
+  Shade shade = Shade::kLight;
+  std::string label;
+};
+
+constexpr auto record_fields = [](auto& io, auto& r) {
+  return io(r.wide, r.narrow, r.flag, r.value, r.pair) &&
+         io.enumeration(r.shade, Shade::kBlack) && io.text(r.label);
+};
+
+TEST(LineCodec, WriterAndReaderShareOneFieldList) {
+  Record written;
+  written.wide = UINT64_MAX;
+  written.narrow = 4294967295u;
+  written.flag = true;
+  written.value = 1.0 / 3.0;
+  written.pair = {7, 0};
+  written.shade = Shade::kBlack;
+  written.label = "two words";
+  std::string out;
+  RecordWriter writer(out);
+  writer.begin("rec");
+  record_fields(writer, written);
+  writer.end();
+  writer.line("pair", 1u, -0.0);
+  EXPECT_EQ(out,
+            "rec 18446744073709551615 4294967295 1 0x1.5555555555555p-2 7 0 "
+            "2 two words\npair 1 -0x0p+0\n");
+
+  const std::string line = out.substr(0, out.find('\n'));
+  FieldReader reader(line);
+  EXPECT_EQ(reader.word(), "rec");
+  Record read;
+  ASSERT_TRUE(record_fields(reader, read));
+  EXPECT_EQ(read.wide, written.wide);
+  EXPECT_EQ(read.narrow, written.narrow);
+  EXPECT_EQ(read.flag, written.flag);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(read.value),
+            std::bit_cast<std::uint64_t>(written.value));
+  EXPECT_EQ(read.pair, written.pair);
+  EXPECT_EQ(read.shade, written.shade);
+  EXPECT_EQ(read.label, written.label);
+}
+
+TEST(LineCodec, ReaderRangeChecksEveryField) {
+  auto reads = [](std::string_view fields) {
+    FieldReader reader(fields);
+    Record r;
+    return record_fields(reader, r);
+  };
+  EXPECT_TRUE(reads("1 2 0 0x1p+0 3 4 0 label"));
+  EXPECT_TRUE(reads("1 2 0 0x1p+0 3 4 0 "));  // free text may be empty
+  EXPECT_FALSE(reads("1 2 0 0x1p+0 3 4"));     // missing field
+  EXPECT_FALSE(reads("18446744073709551616 2 0 0x1p+0 3 4 0 x"));
+  EXPECT_FALSE(reads("1 4294967296 0 0x1p+0 3 4 0 x"));
+  EXPECT_FALSE(reads("1 2 2 0x1p+0 3 4 0 x"));   // bool other than 0/1
+  EXPECT_FALSE(reads("1 2 0 0x1p+0 3 4 3 x"));   // enum past its last
+  EXPECT_FALSE(reads("-1 2 0 0x1p+0 3 4 0 x"));  // signs
+  EXPECT_FALSE(reads("+1 2 0 0x1p+0 3 4 0 x"));
+  EXPECT_FALSE(reads("1 2 0 0x1p+0 \t3 4 0 x"));
+  EXPECT_FALSE(reads("1 2 0 0x1q+0 3 4 0 x"));   // trailing junk
+  EXPECT_FALSE(reads("1  2 0 0x1p+0 3 4 0 x"));  // empty field
+
+  FieldReader named("");
+  std::string name;
+  EXPECT_FALSE(named.name(name)) << "a name may not be empty";
+}
+
+TEST(LineCodec, LineReaderNumbersItsErrors) {
+  LineReader lines("demo", "first\n\nthird");
+  EXPECT_EQ(lines.error("nothing read").message,
+            "demo parse error at line 0: nothing read");
+  EXPECT_EQ(lines.next(), "first");
+  EXPECT_EQ(lines.offset(), 6u);
+  EXPECT_EQ(lines.next(), "");
+  EXPECT_EQ(lines.next(), "third");
+  EXPECT_TRUE(lines.done());
+  const Error error = lines.error("bad");
+  EXPECT_EQ(error.code, Errc::kInvalidArgument);
+  EXPECT_EQ(error.message, "demo parse error at line 3: bad");
+}
+
+TEST(LineCodec, Fnv1a64MatchesReferenceVectors) {
+  EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ull);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 //     replaying the recording reproduces that decision log byte for byte.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <string>
@@ -25,14 +26,21 @@
 #include "hetmem/simmem/array.hpp"
 #include "hetmem/simmem/exec.hpp"
 #include "hetmem/simmem/machine.hpp"
+#include "hetmem/support/line_codec.hpp"
 #include "hetmem/support/rng.hpp"
 #include "hetmem/support/units.hpp"
 #include "hetmem/topo/presets.hpp"
 #include "hetmem/trace/trace.hpp"
+#include "text_records.hpp"
 
 namespace {
 
 using namespace hetmem;
+using hetmem_test::first_tagged;
+using hetmem_test::first_word;
+using hetmem_test::lines_of;
+using hetmem_test::with_field;
+using hetmem_test::with_line;
 using support::kGiB;
 using support::kMiB;
 
@@ -44,18 +52,14 @@ void expect_traces_bitwise_equal(const trace::Trace& a, const trace::Trace& b) {
   EXPECT_EQ(a.workload, b.workload);
   EXPECT_EQ(a.threads, b.threads);
   EXPECT_EQ(a.phases_per_epoch, b.phases_per_epoch);
-  EXPECT_EQ(a.version, b.version);
   ASSERT_EQ(a.epochs.size(), b.epochs.size());
   for (std::size_t e = 0; e < a.epochs.size(); ++e) {
     const runtime::Epoch& left = a.epochs[e];
     const runtime::Epoch& right = b.epochs[e];
     EXPECT_EQ(left.index, right.index);
     EXPECT_TRUE(same_bits(left.duration_ns, right.duration_ns));
-    // Per-epoch sample periods only exist on the wire in trace/2.
-    if (a.version >= 2) {
-      EXPECT_TRUE(same_bits(left.sample_period, right.sample_period))
-          << "epoch " << e;
-    }
+    EXPECT_TRUE(same_bits(left.sample_period, right.sample_period))
+        << "epoch " << e;
     EXPECT_TRUE(same_bits(left.total_memory_bytes, right.total_memory_bytes))
         << "epoch " << e;
     ASSERT_EQ(left.samples.size(), right.samples.size()) << "epoch " << e;
@@ -127,15 +131,12 @@ TEST(TraceFormatTest, RoundTripIsLosslessOnSeededRandomTraces) {
     trace::Trace original;
     original.workload = "fuzz-" + std::to_string(round);
     original.threads = 1 + static_cast<unsigned>(rng.next_below(64));
-    // Alternate wire versions so the fuzz covers both the v1 and v2 epoch
-    // grammars (v2 adds the per-epoch sample period).
-    original.version = (round % 2 == 0) ? 1u : 2u;
     const unsigned epochs = 1 + static_cast<unsigned>(rng.next_below(8));
     for (unsigned e = 0; e < epochs; ++e) {
       runtime::Epoch epoch;
       epoch.index = e;
       epoch.duration_ns = random_double();
-      if (original.version >= 2) epoch.sample_period = random_double();
+      epoch.sample_period = random_double();
       const unsigned samples = static_cast<unsigned>(rng.next_below(6));
       for (unsigned s = 0; s < samples; ++s) {
         runtime::EpochSample sample;
@@ -161,13 +162,12 @@ TEST(TraceFormatTest, RoundTripIsLosslessOnSeededRandomTraces) {
 TEST(TraceFormatTest, V2RoundTripCarriesSamplePeriods) {
   // trace/2 epoch lines carry the controller-chosen sample period; the
   // hexfloat encoding must round-trip awkward periods bit for bit, and the
-  // serialized text must be a fixed point, exactly like v1.
+  // serialized text must be a fixed point.
   const double awkward_periods[] = {1.0, 2.0, 1.0 / 3.0, 4096.0, 0.0,
                                     123.456};
   trace::Trace original;
   original.workload = "v2 periods";
   original.threads = 3;
-  original.version = 2;
   for (unsigned e = 0; e < 6; ++e) {
     runtime::Epoch epoch;
     epoch.index = e;
@@ -185,28 +185,8 @@ TEST(TraceFormatTest, V2RoundTripCarriesSamplePeriods) {
   EXPECT_EQ(text.rfind("hetmem-trace/2\n", 0), 0u);
   auto parsed = trace::parse(text);
   ASSERT_TRUE(parsed.ok()) << parsed.error().message;
-  EXPECT_EQ(parsed->version, 2u);
   expect_traces_bitwise_equal(original, *parsed);
   EXPECT_EQ(trace::serialize(*parsed), text);
-}
-
-TEST(TraceFormatTest, V1StillParsesWithZeroSamplePeriod) {
-  // A v1 trace has no per-epoch period on the wire; parsing one must keep
-  // working forever and yield sample_period == 0.0 ("raw, never sampled"),
-  // which replay maps to the replaying sampler's own effective period.
-  trace::Trace original;
-  original.workload = "legacy";
-  runtime::Epoch epoch;
-  epoch.index = 0;
-  epoch.duration_ns = 42.0;
-  original.epochs.push_back(epoch);
-  const std::string text = trace::serialize(original);
-  EXPECT_EQ(text.rfind("hetmem-trace/1\n", 0), 0u);
-  auto parsed = trace::parse(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.error().message;
-  EXPECT_EQ(parsed->version, 1u);
-  ASSERT_EQ(parsed->epochs.size(), 1u);
-  EXPECT_TRUE(same_bits(parsed->epochs[0].sample_period, 0.0));
 }
 
 TEST(TraceFormatTest, ParseRejectsMalformedInput) {
@@ -218,14 +198,14 @@ TEST(TraceFormatTest, ParseRejectsMalformedInput) {
   EXPECT_FALSE(trace::parse(text.substr(0, text.size() - 4)).ok());
   // Sample record outside any epoch.
   EXPECT_FALSE(
-      trace::parse("hetmem-trace/1\ns 0 0x0p+0 0x0p+0 0x0p+0 0x0p+0 0x0p+0 "
+      trace::parse("hetmem-trace/2\ns 0 0x0p+0 0x0p+0 0x0p+0 0x0p+0 0x0p+0 "
                    "0x0p+0\nend\n")
           .ok());
   // Non-numeric counter.
   EXPECT_FALSE(
-      trace::parse("hetmem-trace/1\nepoch 0 zero\nend\n").ok());
+      trace::parse("hetmem-trace/2\nepoch 0 zero\nend\n").ok());
   // Unknown record tag.
-  EXPECT_FALSE(trace::parse("hetmem-trace/1\nbogus 1\nend\n").ok());
+  EXPECT_FALSE(trace::parse("hetmem-trace/2\nbogus 1\nend\n").ok());
   // A v2 epoch line is required to carry its sample period.
   EXPECT_FALSE(trace::parse("hetmem-trace/2\nepoch 0 0x0p+0\nend\n").ok());
   EXPECT_TRUE(
@@ -454,9 +434,8 @@ TEST(TraceRecorderTest, RecordsRawDeltasAtEpochCadence) {
   ASSERT_EQ(recorder.epochs_recorded(), 3u);
 
   const trace::Trace& trace = recorder.trace();
-  // Recordings are written in the current wire version; with no policy
-  // chained the raw epochs carry no sampler period (0.0 on the wire).
-  EXPECT_EQ(trace.version, 2u);
+  // With no policy chained the raw epochs carry no sampler period (0.0 on
+  // the wire).
   EXPECT_TRUE(same_bits(trace.epochs[0].sample_period, 0.0));
   EXPECT_EQ(trace.phases_per_epoch, 2u);
   // Raw exact deltas: every phase issues identical traffic, so a two-phase
@@ -474,6 +453,121 @@ TEST(TraceRecorderTest, RecordsRawDeltasAtEpochCadence) {
                         2.0 * tail_bytes));
   EXPECT_TRUE(same_bits(trace.epochs[0].samples[0].traffic.reads,
                         2.0 * trace.epochs[2].samples[0].traffic.reads));
+}
+
+// ---------------------------------------------------------------------------
+// The wire format pinned across commits, and every field's rejection path
+// ---------------------------------------------------------------------------
+
+/// run_live's recorded trace (16 epochs, 4 threads) as text.
+std::string recorded_trace_text() {
+  Scenario scenario;
+  EXPECT_TRUE(scenario.ok);
+  trace::TraceRecorder recorder({1, "flip"});
+  (void)run_live(scenario, &recorder);
+  EXPECT_EQ(recorder.epochs_recorded(), 16u);
+  return trace::serialize(recorder.trace());
+}
+
+TEST(TraceFormatTest, RecordedTraceMatchesRecordedDigest) {
+  const std::string text = recorded_trace_text();
+  // Pinned bytes: any change to how a record is written moves them, and a
+  // wire-format change needs a new `hetmem-trace` version.
+  EXPECT_EQ(text.size(), 1684u);
+  EXPECT_EQ(support::fnv1a64(text), 0x7fe4200b96ca6794ull)
+      << std::hex << support::fnv1a64(text);
+}
+
+TEST(TraceRejectionTest, EveryNumericFieldIsChecked) {
+  const std::vector<std::string> lines = lines_of(recorded_trace_text());
+  std::size_t cases = 0;
+  for (std::size_t at = 1; at < lines.size(); ++at) {
+    const std::string tag = first_word(lines[at]);
+    const std::size_t fields = static_cast<std::size_t>(
+        std::count(lines[at].begin(), lines[at].end(), ' '));
+    for (std::size_t field = 1; field <= fields; ++field) {
+      std::string want;
+      if (tag == "threads") {
+        want = "bad thread count";
+      } else if (tag == "phases_per_epoch") {
+        want = "bad phases_per_epoch";
+      } else if (tag == "epoch") {
+        want = field < 3 ? "bad epoch line"
+                         : "bad epoch line (v2 needs sample_period)";
+      } else if (tag == "s") {
+        want = field == 1 ? "bad buffer id" : "bad sample counter";
+      } else {
+        continue;
+      }
+      const std::string line = with_field(lines[at], field, "x");
+      auto parsed = trace::parse(with_line(lines, at, line));
+      ASSERT_FALSE(parsed.ok()) << line;
+      EXPECT_EQ(parsed.error().message, "trace parse error at line " +
+                                            std::to_string(at + 1) + ": " +
+                                            want)
+          << line;
+      ++cases;
+    }
+  }
+  EXPECT_GT(cases, 50u);
+}
+
+TEST(TraceRejectionTest, RangeChecksIntegersAndSigns) {
+  // Inputs the parser accepted before its fields went through
+  // support::FieldReader: strtoull took signs and cut ids to 32 bits.
+  const std::vector<std::string> lines = lines_of(recorded_trace_text());
+  struct Case {
+    const char* tag;
+    std::size_t field;
+    const char* value;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"threads", 1, "4294967296", "bad thread count"},
+      {"threads", 1, "-1", "bad thread count"},
+      {"phases_per_epoch", 1, "+1", "bad phases_per_epoch"},
+      {"epoch", 1, "-1", "bad epoch line"},
+      {"s", 1, "4294967296", "bad buffer id"},
+  };
+  for (const Case& c : cases) {
+    const std::size_t at = first_tagged(lines, c.tag);
+    ASSERT_LT(at, lines.size()) << c.tag;
+    const std::string line = with_field(lines[at], c.field, c.value);
+    auto parsed = trace::parse(with_line(lines, at, line));
+    ASSERT_FALSE(parsed.ok()) << line;
+    EXPECT_EQ(parsed.error().message, "trace parse error at line " +
+                                          std::to_string(at + 1) + ": " +
+                                          c.message)
+        << line;
+  }
+  // hetmem-trace/1 is gone: its epoch lines had no sample period.
+  auto v1 = trace::parse("hetmem-trace/1\nepoch 0 0x1p+0\nend\n");
+  ASSERT_FALSE(v1.ok());
+  EXPECT_EQ(v1.error().message,
+            "trace parse error at line 1: expected header hetmem-trace/2");
+}
+
+TEST(TraceRejectionTest, SeededDamageFailsOrReachesAFixedPoint) {
+  const std::string text = recorded_trace_text();
+  support::Xoshiro256 rng(0x7ace5eed);
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (int round = 0; round < 2000; ++round) {
+    auto parsed = trace::parse(hetmem_test::damage(text, rng));
+    if (!parsed.ok()) {
+      EXPECT_FALSE(parsed.error().message.empty());
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    const std::string again = trace::serialize(*parsed);
+    auto reparsed = trace::parse(again);
+    ASSERT_TRUE(reparsed.ok()) << "round " << round << ": "
+                               << reparsed.error().message;
+    EXPECT_EQ(trace::serialize(*reparsed), again) << "round " << round;
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 // ---------------------------------------------------------------------------
