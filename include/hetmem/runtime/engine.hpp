@@ -24,9 +24,9 @@
 // refunded when it settles.
 //
 // Every considered move is logged as a Decision with a verdict and a typed
-// reason (runtime/reason.hpp), rendered to text only on demand — an
-// observability surface (render_decision_log() is byte-stable for a fixed
-// seed, which the chaos tests assert), not just printf.
+// reason (runtime/reason.hpp), rendered to text only on demand and only
+// once — an observability surface (render_decision_log() is byte-stable for
+// a fixed seed, which the chaos tests assert), not just printf.
 //
 // Thread safety (docs/CONCURRENCY.md): externally synchronized — one epoch
 // loop drives the engine (its decision log is an ordered narrative). The
@@ -34,6 +34,7 @@
 // threads may allocate/free concurrently with the epoch loop.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -132,7 +133,11 @@ class MigrationEngine {
     broker_.set_arbiter(arbiter);
   }
 
-  /// Deterministic text rendering of the full decision history.
+  /// Deterministic text rendering of the full decision history. Each
+  /// decision is formatted once: the engine keeps the text rendered so far
+  /// and a call appends only the decisions logged since the previous call,
+  /// then returns a copy. That updates a cache, so call it from the thread
+  /// that runs the epochs (docs/CONCURRENCY.md).
   [[nodiscard]] std::string render_decision_log() const;
 
   // --- snapshot/restore hooks (src/recover, docs/RECOVERY.md) ---
@@ -152,9 +157,9 @@ class MigrationEngine {
   /// compares exactly that. The structured decisions() vector holds only
   /// post-restore decisions.
   void restore_log_prefix(std::string rendered) {
-    log_prefix_ = std::move(rendered);
+    rendered_ = std::move(rendered);
+    rendered_count_ = 0;
   }
-  [[nodiscard]] const std::string& log_prefix() const { return log_prefix_; }
 
  private:
   struct Candidate {
@@ -164,8 +169,11 @@ class MigrationEngine {
     double benefit_per_epoch_ns = 0.0;
   };
 
-  void log(std::uint64_t epoch, sim::BufferId buffer, Verdict verdict,
-           const Candidate* candidate, double cost_ns, DecisionReason reason);
+  /// Appends the decision, final: `from_node` is where the buffer was
+  /// before this decision moved it.
+  void log(std::uint64_t epoch, sim::BufferId buffer, unsigned from_node,
+           Verdict verdict, const Candidate* candidate, double cost_ns,
+           DecisionReason reason);
   [[nodiscard]] double node_traffic_cost_ns(
       unsigned node, std::uint64_t declared_bytes,
       const sim::BufferTraffic& traffic, unsigned threads) const;
@@ -177,8 +185,12 @@ class MigrationEngine {
   std::vector<bool> local_;
   EngineOptions options_;
   MigrationBroker broker_;
-  std::string log_prefix_;  // restored pre-crash narrative (restore_log_prefix)
   std::vector<Decision> decisions_;
+  /// The log rendered so far: the restored pre-crash narrative
+  /// (restore_log_prefix), then decisions_[0, rendered_count_).
+  /// render_decision_log(), a const query, extends it.
+  mutable std::string rendered_;
+  mutable std::size_t rendered_count_ = 0;
   EngineStats stats_;
   std::uint64_t max_epoch_bytes_ = 0;
 };

@@ -16,8 +16,10 @@
 // With a RecordWriter and a const record it appends every field and
 // returns true. With a FieldReader and a record to fill it parses the same
 // fields in the same order, and returns false at the first one that is
-// missing, malformed or out of range for its type. How a record is laid
-// out is thus decided in one place, so writer and reader cannot drift.
+// missing, malformed or out of range for its type; the parser then checks
+// FieldReader::at_end(), so a line with a field too many is refused too.
+// How a record is laid out is thus decided in one place, so writer and
+// reader cannot drift.
 #pragma once
 
 #include <array>
@@ -93,6 +95,9 @@ class FieldReader {
   std::string_view word();
   /// What is left of the line.
   [[nodiscard]] std::string_view rest() const { return rest_; }
+  /// True when no field is left, not even an empty one after a trailing
+  /// space: a record's parser checks it after the record's last field.
+  [[nodiscard]] bool at_end() const { return rest_.empty() && !more_; }
 
   /// Parses one field per argument; false at the first that fails.
   /// Integers must be decimal digits only and fit their type; bools must
@@ -113,6 +118,7 @@ class FieldReader {
   bool text(std::string& out) {
     out.assign(rest_);
     rest_ = {};
+    more_ = false;
     return true;
   }
   /// The rest of the line; false when it is empty.
@@ -132,6 +138,7 @@ class FieldReader {
   }
 
   std::string_view rest_;
+  bool more_ = false;  // a space ended the last word, so a field follows
 };
 
 /// Walks a text line by line and words its errors

@@ -34,6 +34,8 @@ std::optional<std::uint64_t> parse_bytes(std::string_view text);
 
 /// Human form with binary suffix, e.g. 103079215104 -> "96.0GiB".
 std::string format_bytes(std::uint64_t bytes);
+/// Appends format_bytes(bytes) to `out`.
+void append_bytes(std::string& out, std::uint64_t bytes);
 
 /// Bandwidth in decimal GB/s with 2 decimals, e.g. 7.86e10 -> "78.60 GB/s".
 std::string format_bandwidth(double bytes_per_second);
@@ -41,7 +43,11 @@ std::string format_bandwidth(double bytes_per_second);
 /// Latency, e.g. 285.0 -> "285 ns"; values >= 1000 render as microseconds.
 std::string format_latency_ns(double nanoseconds);
 
-/// Fixed-point double formatting without iostream setup noise.
+/// Fixed-point double formatting without iostream setup noise: the bytes
+/// printf("%.*f", decimals, value) prints in the C locale.
 std::string format_fixed(double value, int decimals);
+/// Appends format_fixed(value, decimals) to `out` (std::to_chars, no
+/// temporary string).
+void append_fixed(std::string& out, double value, int decimals);
 
 }  // namespace hetmem::support

@@ -283,10 +283,11 @@ HmatCorruption corrupt_hmat_text(std::string_view text, FaultInjector& injector)
       // Re-emit the (pre-mutation) record with a perturbed value: a
       // duplicate (initiator, target, attribute) key whose resolution must
       // be deterministic (last-wins) in the parser.
-      std::string duplicate(raw_line);
-      if (const std::size_t pos = duplicate.rfind('='); pos != std::string::npos) {
-        duplicate.insert(pos + 1, "9");
-        result.text += duplicate;
+      if (const std::size_t pos = raw_line.rfind('=');
+          pos != std::string_view::npos) {
+        result.text += raw_line.substr(0, pos + 1);
+        result.text += '9';
+        result.text += raw_line.substr(pos + 1);
         result.text += '\n';
         ++result.duplicates_added;
       }

@@ -308,10 +308,10 @@ std::string Evacuator::render_log() const {
     out += " -> ";
     out += std::to_string(decision.to_node);
     out += ' ';
-    out += support::format_bytes(decision.bytes);
+    support::append_bytes(out, decision.bytes);
     if (decision.cost_ns > 0.0) {
       out += " cost ";
-      out += support::format_fixed(decision.cost_ns / 1e6, 3);
+      support::append_fixed(out, decision.cost_ns / 1e6, 3);
       out += " ms";
     }
     if (decision.reason.code != runtime::ReasonCode::kNone) {

@@ -1,12 +1,28 @@
 #include "hetmem/power/governor.hpp"
 
 #include <climits>
+#include <string>
+#include <utility>
 
 #include "hetmem/memattr/compose.hpp"
 #include "hetmem/power/power.hpp"
 #include "hetmem/support/units.hpp"
 
 namespace hetmem::power {
+
+namespace {
+
+/// "draw <watts> W > cap <watts> W", why the governor drained or throttled.
+std::string over_cap_reason(double draw, double cap) {
+  std::string reason = "draw ";
+  support::append_fixed(reason, draw, 1);
+  reason += " W > cap ";
+  support::append_fixed(reason, cap, 1);
+  reason += " W";
+  return reason;
+}
+
+}  // namespace
 
 const char* power_verdict_name(PowerVerdict verdict) {
   switch (verdict) {
@@ -77,16 +93,32 @@ void PowerGovernor::log(std::uint64_t epoch, unsigned node, sim::BufferId buffer
 std::string PowerGovernor::render_log() const {
   std::string out;
   for (const PowerDecision& decision : decisions_) {
-    out += "epoch " + std::to_string(decision.epoch) + " " +
-           power_verdict_name(decision.verdict) + " node" +
-           std::to_string(decision.node);
+    out += "epoch ";
+    out += std::to_string(decision.epoch);
+    out += ' ';
+    out += power_verdict_name(decision.verdict);
+    out += " node";
+    out += std::to_string(decision.node);
     if (decision.verdict == PowerVerdict::kDrained) {
-      out += " -> node" + std::to_string(decision.to_node);
+      out += " -> node";
+      out += std::to_string(decision.to_node);
     }
-    if (!decision.label.empty()) out += " '" + decision.label + "'";
-    if (decision.bytes != 0) out += " " + std::to_string(decision.bytes) + "B";
-    if (!decision.reason.empty()) out += " (" + decision.reason + ")";
-    out += "\n";
+    if (!decision.label.empty()) {
+      out += " '";
+      out += decision.label;
+      out += '\'';
+    }
+    if (decision.bytes != 0) {
+      out += ' ';
+      out += std::to_string(decision.bytes);
+      out += 'B';
+    }
+    if (!decision.reason.empty()) {
+      out += " (";
+      out += decision.reason;
+      out += ')';
+    }
+    out += '\n';
   }
   return out;
 }
@@ -117,11 +149,12 @@ double PowerGovernor::run_epoch(std::uint64_t epoch_index, unsigned threads) {
   if (over_streak_[offender] > options_.throttle_after_epochs) {
     machine.report_thermal_throttle(offender);
     ++stats_.throttle_events;
+    std::string reason = over_cap_reason(draw, cap);
+    reason += " for ";
+    reason += std::to_string(over_streak_[offender]);
+    reason += " epochs";
     log(epoch_index, offender, sim::BufferId{}, "", offender, 0,
-        PowerVerdict::kThrottled,
-        "draw " + support::format_fixed(draw, 1) + " W > cap " +
-            support::format_fixed(cap, 1) + " W for " +
-            std::to_string(over_streak_[offender]) + " epochs");
+        PowerVerdict::kThrottled, std::move(reason));
   }
 
   // Drain toward the most energy-efficient targets (kEnergyPerByte is
@@ -184,8 +217,7 @@ double PowerGovernor::run_epoch(std::uint64_t epoch_index, unsigned threads) {
     stats_.drain_cost_ns += *cost;
     log(epoch_index, offender, buffer, info.label, destination,
         info.declared_bytes, PowerVerdict::kDrained,
-        "draw " + support::format_fixed(draw, 1) + " W > cap " +
-            support::format_fixed(cap, 1) + " W");
+        over_cap_reason(draw, cap));
   }
   return paid_ns;
 }

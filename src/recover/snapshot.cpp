@@ -304,8 +304,15 @@ Snapshot capture(const CaptureSources& sources) {
 }
 
 std::string serialize(const Snapshot& snap) {
-  std::string payload;  // checksummed
-  support::RecordWriter out(payload);
+  // The whole text goes into one string. The rendered log is the bulk of
+  // it: reserve that, its "dlog " tags and some slack for the other records.
+  std::string text;
+  text.reserve(snap.decision_log.size() + snap.decision_log.size() / 16 +
+               64 * 1024);
+  text += kHeader;
+  text += '\n';
+  const std::size_t payload_start = text.size();  // checksummed from here
+  support::RecordWriter out(text);
   put_record(out, "preset", preset_fields, snap);
   put_record(out, "machine", machine_fields, snap);
   put_indexed(out, "node", node_fields, snap.node_telemetry);
@@ -368,9 +375,12 @@ std::string serialize(const Snapshot& snap) {
 
   char checksum[32];
   std::snprintf(checksum, sizeof(checksum), "%016llx",
-                static_cast<unsigned long long>(support::fnv1a64(payload)));
-  return std::string(kHeader) + '\n' + payload + "checksum " + checksum +
-         "\nend\n";
+                static_cast<unsigned long long>(support::fnv1a64(
+                    std::string_view(text).substr(payload_start))));
+  text += "checksum ";
+  text += checksum;
+  text += "\nend\n";
+  return text;
 }
 
 Result<Snapshot> parse(std::string_view text) {
@@ -492,7 +502,9 @@ Result<Snapshot> parse(std::string_view text) {
     } else {
       return lines.error("unknown record '" + std::string(tag) + "'");
     }
-    if (!ok) return lines.error("malformed " + std::string(tag) + " record");
+    if (!ok || !in.at_end()) {
+      return lines.error("malformed " + std::string(tag) + " record");
+    }
   }
 
   if (!saw_end) {

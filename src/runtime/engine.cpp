@@ -126,14 +126,15 @@ double MigrationEngine::node_traffic_cost_ns(
 }
 
 void MigrationEngine::log(std::uint64_t epoch, sim::BufferId buffer,
-                          Verdict verdict, const Candidate* candidate,
-                          double cost_ns, DecisionReason reason) {
+                          unsigned from_node, Verdict verdict,
+                          const Candidate* candidate, double cost_ns,
+                          DecisionReason reason) {
   sim::BufferInfo info = allocator_->machine().info(buffer);
   Decision decision;
   decision.epoch = epoch;
   decision.buffer = buffer;
   decision.label = std::move(info.label);
-  decision.from_node = info.node;
+  decision.from_node = from_node;
   decision.verdict = verdict;
   decision.cost_ns = cost_ns;
   decision.bytes = info.declared_bytes;
@@ -147,7 +148,7 @@ void MigrationEngine::log(std::uint64_t epoch, sim::BufferId buffer,
             ? cost_ns / candidate->benefit_per_epoch_ns
             : 0.0;
   } else {
-    decision.to_node = info.node;
+    decision.to_node = from_node;
   }
   ++stats_.considered;
   switch (verdict) {
@@ -204,7 +205,8 @@ double MigrationEngine::run_epoch(std::uint64_t epoch_index,
     }
     const std::vector<attr::TargetValue>& ranked = ranked_snapshot->targets;
     if (ranked.empty()) {
-      log(epoch_index, buffer, Verdict::kRejectedNoTarget, nullptr, 0.0,
+      log(epoch_index, buffer, residency.node, Verdict::kRejectedNoTarget,
+          nullptr, 0.0,
           {.code = ReasonCode::kNoRankedTargets, .id = attribute});
       continue;
     }
@@ -230,8 +232,8 @@ double MigrationEngine::run_epoch(std::uint64_t epoch_index,
     }
     if (best_placed) continue;
     if (destination == nullptr) {
-      log(epoch_index, buffer, Verdict::kRejectedCapacity, nullptr, 0.0,
-          {.code = ReasonCode::kNoRankedRoom});
+      log(epoch_index, buffer, residency.node, Verdict::kRejectedCapacity,
+          nullptr, 0.0, {.code = ReasonCode::kNoRankedRoom});
       continue;
     }
 
@@ -245,8 +247,8 @@ double MigrationEngine::run_epoch(std::uint64_t epoch_index,
         node_traffic_cost_ns(candidate.to_node, residency.declared_bytes,
                              state.ema, threads);
     if (candidate.benefit_per_epoch_ns <= 0.0) {
-      log(epoch_index, buffer, Verdict::kRejectedNoBenefit, &candidate, 0.0,
-          {.code = ReasonCode::kNoBenefit});
+      log(epoch_index, buffer, residency.node, Verdict::kRejectedNoBenefit,
+          &candidate, 0.0, {.code = ReasonCode::kNoBenefit});
       continue;
     }
     candidates.push_back(candidate);
@@ -297,8 +299,9 @@ double MigrationEngine::run_epoch(std::uint64_t epoch_index,
       }
     }
     if (room < residency.declared_bytes) {
-      log(epoch_index, candidate.buffer, Verdict::kRejectedCapacity,
-          &candidate, 0.0, {.code = ReasonCode::kDestinationFull});
+      log(epoch_index, candidate.buffer, residency.node,
+          Verdict::kRejectedCapacity, &candidate, 0.0,
+          {.code = ReasonCode::kDestinationFull});
       continue;
     }
 
@@ -314,8 +317,8 @@ double MigrationEngine::run_epoch(std::uint64_t epoch_index,
 
     const double breakeven = cost_ns / candidate.benefit_per_epoch_ns;
     if (breakeven > options_.expected_future_epochs) {
-      log(epoch_index, candidate.buffer, Verdict::kRejectedBreakeven,
-          &candidate, cost_ns,
+      log(epoch_index, candidate.buffer, residency.node,
+          Verdict::kRejectedBreakeven, &candidate, cost_ns,
           {.code = ReasonCode::kBreakeven,
            .epochs = breakeven,
            .horizon = options_.expected_future_epochs});
@@ -327,16 +330,16 @@ double MigrationEngine::run_epoch(std::uint64_t epoch_index,
     MigrationBroker::Reservation reservation =
         broker_.reserve(epoch_index, candidate.buffer, move_bytes);
     if (reservation.refusal() == Refusal::kBudget) {
-      log(epoch_index, candidate.buffer, Verdict::kRejectedBudget, &candidate,
-          cost_ns,
+      log(epoch_index, candidate.buffer, residency.node,
+          Verdict::kRejectedBudget, &candidate, cost_ns,
           {.code = ReasonCode::kBudget,
            .bytes = move_bytes,
            .budget_left = broker_.remaining(epoch_index)});
       continue;
     }
     if (reservation.refusal() == Refusal::kTenantShare) {
-      log(epoch_index, candidate.buffer, Verdict::kRejectedTenantShare,
-          &candidate, cost_ns,
+      log(epoch_index, candidate.buffer, residency.node,
+          Verdict::kRejectedTenantShare, &candidate, cost_ns,
           {.code = ReasonCode::kTenantShare, .bytes = move_bytes});
       continue;
     }
@@ -353,8 +356,8 @@ double MigrationEngine::run_epoch(std::uint64_t epoch_index,
       auto result = reservation.move(eviction.buffer, eviction.to_node);
       victims.mark_stale();
       if (!result.ok()) {
-        log(epoch_index, eviction.buffer, Verdict::kFailedMigrate,
-            &as_candidate, 0.0,
+        log(epoch_index, eviction.buffer, victim_from,
+            Verdict::kFailedMigrate, &as_candidate, 0.0,
             {.code = ReasonCode::kMigrateError,
              .detail = result.error().to_string()});
         eviction_failed = true;
@@ -364,23 +367,22 @@ double MigrationEngine::run_epoch(std::uint64_t epoch_index,
       epoch_bytes += eviction.bytes;
       stats_.migrated_bytes += eviction.bytes;
       stats_.migration_cost_ns += *result;
-      log(epoch_index, eviction.buffer, Verdict::kEvicted, &as_candidate,
-          *result, {.code = ReasonCode::kMakingRoom, .detail = label});
-      // log() snapshots the buffer's node, which migrate() just changed;
-      // the decision should show where the victim came from.
-      decisions_.back().from_node = victim_from;
+      log(epoch_index, eviction.buffer, victim_from, Verdict::kEvicted,
+          &as_candidate, *result,
+          {.code = ReasonCode::kMakingRoom, .detail = label});
     }
     if (eviction_failed) {
-      log(epoch_index, candidate.buffer, Verdict::kRejectedCapacity,
-          &candidate, 0.0, {.code = ReasonCode::kEvictionFailed});
+      log(epoch_index, candidate.buffer, residency.node,
+          Verdict::kRejectedCapacity, &candidate, 0.0,
+          {.code = ReasonCode::kEvictionFailed});
       continue;
     }
 
     auto result = reservation.move(candidate.buffer, candidate.to_node);
     victims.mark_stale();
     if (!result.ok()) {
-      log(epoch_index, candidate.buffer, Verdict::kFailedMigrate, &candidate,
-          cost_ns,
+      log(epoch_index, candidate.buffer, residency.node,
+          Verdict::kFailedMigrate, &candidate, cost_ns,
           {.code = ReasonCode::kMigrateError,
            .detail = result.error().to_string()});
       continue;
@@ -389,9 +391,9 @@ double MigrationEngine::run_epoch(std::uint64_t epoch_index,
     epoch_bytes += residency.declared_bytes;
     stats_.migrated_bytes += residency.declared_bytes;
     stats_.migration_cost_ns += *result;
-    log(epoch_index, candidate.buffer, Verdict::kAccepted, &candidate, *result,
+    log(epoch_index, candidate.buffer, residency.node, Verdict::kAccepted,
+        &candidate, *result,
         {.code = ReasonCode::kAmortized, .epochs = breakeven});
-    decisions_.back().from_node = residency.node;
   }
 
   max_epoch_bytes_ = std::max(max_epoch_bytes_, epoch_bytes);
@@ -399,10 +401,11 @@ double MigrationEngine::run_epoch(std::uint64_t epoch_index,
 }
 
 std::string MigrationEngine::render_decision_log() const {
-  // Appended piece by piece: a chain of operator+ would build a temporary
-  // string per piece, per decision, on every checkpoint capture.
-  std::string out = log_prefix_;
-  for (const Decision& decision : decisions_) {
+  // Only the decisions not rendered yet, appended piece by piece: a chain
+  // of operator+ would build a temporary string per piece.
+  std::string& out = rendered_;
+  for (; rendered_count_ < decisions_.size(); ++rendered_count_) {
+    const Decision& decision = decisions_[rendered_count_];
     out += "epoch ";
     out += std::to_string(decision.epoch);
     out += ' ';
@@ -418,12 +421,12 @@ std::string MigrationEngine::render_decision_log() const {
     out += " -> ";
     out += std::to_string(decision.to_node);
     out += ' ';
-    out += support::format_bytes(decision.bytes);
+    support::append_bytes(out, decision.bytes);
     if (decision.benefit_per_epoch_ns > 0.0) {
       out += " benefit/epoch ";
-      out += support::format_fixed(decision.benefit_per_epoch_ns / 1e6, 3);
+      support::append_fixed(out, decision.benefit_per_epoch_ns / 1e6, 3);
       out += " ms, cost ";
-      out += support::format_fixed(decision.cost_ns / 1e6, 3);
+      support::append_fixed(out, decision.cost_ns / 1e6, 3);
       out += " ms";
     }
     if (decision.reason.code != ReasonCode::kNone) {
@@ -432,7 +435,7 @@ std::string MigrationEngine::render_decision_log() const {
     }
     out += '\n';
   }
-  return out;
+  return rendered_;
 }
 
 }  // namespace hetmem::runtime

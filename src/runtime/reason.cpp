@@ -26,25 +26,25 @@ void DecisionReason::append_to(std::string& out) const {
       return;
     case ReasonCode::kBreakeven:
       out += "breakeven ";
-      out += support::format_fixed(epochs, 1);
+      support::append_fixed(out, epochs, 1);
       out += " epochs exceeds horizon ";
-      out += support::format_fixed(horizon, 1);
+      support::append_fixed(out, horizon, 1);
       return;
     case ReasonCode::kBudget:
       out += "needs ";
-      out += support::format_bytes(bytes);
+      support::append_bytes(out, bytes);
       out += ", budget has ";
-      out += support::format_bytes(budget_left);
+      support::append_bytes(out, budget_left);
       out += " left this epoch";
       return;
     case ReasonCode::kTenantShare:
       out += "owning tenant's slice cannot cover ";
-      out += support::format_bytes(bytes);
+      support::append_bytes(out, bytes);
       out += " this epoch";
       return;
     case ReasonCode::kAmortized:
       out += "breakeven ";
-      out += support::format_fixed(epochs, 1);
+      support::append_fixed(out, epochs, 1);
       out += " epochs";
       return;
     case ReasonCode::kMakingRoom:

@@ -41,8 +41,8 @@ void RecordWriter::put(double value) {
 std::string_view FieldReader::word() {
   const std::size_t space = rest_.find(' ');
   const std::string_view word = rest_.substr(0, space);
-  rest_.remove_prefix(space == std::string_view::npos ? rest_.size()
-                                                      : space + 1);
+  more_ = space != std::string_view::npos;
+  rest_.remove_prefix(more_ ? space + 1 : rest_.size());
   return word;
 }
 

@@ -1,9 +1,10 @@
 #include "hetmem/support/units.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <iterator>
 
 namespace hetmem::support {
 
@@ -76,7 +77,7 @@ std::optional<std::uint64_t> parse_bytes(std::string_view text) {
   return static_cast<std::uint64_t>(std::llround(bytes));
 }
 
-std::string format_bytes(std::uint64_t bytes) {
+void append_bytes(std::string& out, std::uint64_t bytes) {
   struct Scale {
     std::uint64_t unit;
     const char* suffix;
@@ -85,11 +86,22 @@ std::string format_bytes(std::uint64_t bytes) {
       {kTiB, "TiB"}, {kGiB, "GiB"}, {kMiB, "MiB"}, {kKiB, "KiB"}};
   for (const auto& s : kScales) {
     if (bytes >= s.unit) {
-      return format_fixed(static_cast<double>(bytes) / static_cast<double>(s.unit), 1) +
-             s.suffix;
+      append_fixed(out, static_cast<double>(bytes) / static_cast<double>(s.unit),
+                   1);
+      out += s.suffix;
+      return;
     }
   }
-  return std::to_string(bytes) + "B";
+  char digits[24];
+  const char* end = std::to_chars(digits, std::end(digits), bytes).ptr;
+  out.append(digits, static_cast<std::size_t>(end - digits));
+  out += 'B';
+}
+
+std::string format_bytes(std::uint64_t bytes) {
+  std::string out;
+  append_bytes(out, bytes);
+  return out;
 }
 
 std::string format_bandwidth(double bytes_per_second) {
@@ -103,10 +115,32 @@ std::string format_latency_ns(double nanoseconds) {
   return format_fixed(nanoseconds, 0) + " ns";
 }
 
+void append_fixed(std::string& out, double value, int decimals) {
+  // std::to_chars with a precision prints what printf("%.*f") prints in the
+  // C locale (both exact, ties to even; inf, -inf, nan, -nan; a negative
+  // precision means 6). At most a sign, DBL_MAX's 309 integer digits, the
+  // point and the decimals.
+  const std::size_t most =
+      311 + static_cast<std::size_t>(std::max(decimals, 6));
+  char stack[328];
+  std::string heap;  // past 17 decimals
+  char* begin = stack;
+  if (most > sizeof(stack)) {
+    heap.resize(most);
+    begin = heap.data();
+  }
+  const char* end = std::to_chars(begin, begin + most, value,
+                                  std::chars_format::fixed, decimals)
+                        .ptr;
+  // (pointer, length): GCC 12 at -O3 flags the iterator-pair append with a
+  // false -Wrestrict.
+  out.append(begin, static_cast<std::size_t>(end - begin));
+}
+
 std::string format_fixed(double value, int decimals) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.*f", decimals, value);
-  return buffer;
+  std::string out;
+  append_fixed(out, value, decimals);
+  return out;
 }
 
 }  // namespace hetmem::support

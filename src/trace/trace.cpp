@@ -117,9 +117,11 @@ Result<Trace> parse(std::string_view text) {
     if (tag == "workload") {
       in.text(trace.workload);
     } else if (tag == "threads") {
-      if (!in(trace.threads)) return lines.error("bad thread count");
+      if (!in(trace.threads) || !in.at_end()) {
+        return lines.error("bad thread count");
+      }
     } else if (tag == "phases_per_epoch") {
-      if (!in(trace.phases_per_epoch)) {
+      if (!in(trace.phases_per_epoch) || !in.at_end()) {
         return lines.error("bad phases_per_epoch");
       }
     } else if (tag == "epoch") {
@@ -130,12 +132,13 @@ Result<Trace> parse(std::string_view text) {
       if (!in(next.sample_period)) {
         return lines.error("bad epoch line (v2 needs sample_period)");
       }
+      if (!in.at_end()) return lines.error("bad epoch line");
       epoch = &next;
     } else if (tag == "s") {
       if (epoch == nullptr) return lines.error("sample before any epoch");
       runtime::EpochSample& sample = epoch->samples.emplace_back();
       if (!in(sample.buffer.index)) return lines.error("bad buffer id");
-      if (!sim::traffic_fields(in, sample.traffic)) {
+      if (!sim::traffic_fields(in, sample.traffic) || !in.at_end()) {
         return lines.error("bad sample counter");
       }
       // total_memory_bytes is derived, summed in sample order exactly as

@@ -658,6 +658,42 @@ TEST_F(EvacuatorTest, WarmBreakevenRejectionsAllocateNothingPerBuffer) {
   }
 }
 
+TEST_F(HealthTest, EngineRendersEachDecisionOnce) {
+  // The engine keeps the decision log it rendered and appends only the
+  // decisions logged since, so a render with nothing new formats nothing:
+  // its one allocation is the copy it returns, whether the log holds 100
+  // decisions or 1,000. (The engine's test lives here for this file's
+  // allocation counter.)
+  const unsigned slow = nvdimm_node();
+  runtime::OnlineClassifier classifier(immediate_classifier());
+  std::vector<std::pair<std::uint32_t, sim::BufferTraffic>> samples;
+  for (unsigned i = 0; i < 10; ++i) {
+    auto buffer = machine_.allocate(2 * kGiB, slow,
+                                    "barely.warm." + std::to_string(i), 4096);
+    ASSERT_TRUE(buffer.ok());
+    samples.emplace_back(buffer->index, random_traffic(1e5));
+  }
+  classifier.observe(make_epoch(0, std::move(samples)));
+
+  auto second_render_allocations = [&](std::size_t decisions) {
+    runtime::MigrationEngine engine(allocator_, initiator_, {});
+    for (std::uint64_t epoch = 0; engine.decisions().size() < decisions;
+         ++epoch) {
+      engine.run_epoch(epoch, classifier, 4);
+    }
+    EXPECT_EQ(engine.decisions().size(), decisions);
+    EXPECT_EQ(engine.stats().rejected, decisions) << "every move is rejected";
+    const std::string first = engine.render_decision_log();
+    const std::size_t before = g_heap_allocations.load();
+    const std::string second = engine.render_decision_log();
+    const std::size_t made = g_heap_allocations.load() - before;
+    EXPECT_EQ(second, first);
+    return made;
+  };
+  EXPECT_EQ(second_render_allocations(100), 1u);
+  EXPECT_EQ(second_render_allocations(1000), 1u);
+}
+
 TEST_F(EvacuatorTest, NoHealthyTargetIsReportedNotForced) {
   auto buffer = machine_.allocate(kGiB, 0, "evac.stranded", 4096);
   ASSERT_TRUE(buffer.ok());

@@ -636,8 +636,10 @@ struct MoverLogs {
 /// and cleared at epoch 14 (quarantined drains that move hot segments and
 /// reject warm ones on breakeven, then re-probation). `injector`, when not
 /// null, goes live at epoch 24 (failed migrations, an offline node, urgent
-/// drains).
-void run_digest_scenario(fault::FaultInjector* injector, MoverLogs* logs) {
+/// drains). `renders`, when not null, receives the engine's log rendered at
+/// the end of every epoch.
+void run_digest_scenario(fault::FaultInjector* injector, MoverLogs* logs,
+                         std::vector<std::string>* renders = nullptr) {
   apps::KvCacheConfig config = small_kvcache();
   config.declared_value_bytes = 8 * kGiB;
   config.segments = 16;
@@ -683,6 +685,12 @@ void run_digest_scenario(fault::FaultInjector* injector, MoverLogs* logs) {
   health::Evacuator evacuator(bed.allocator, policy.mutable_engine(),
                               bed.initiator);
   health::attach_health(policy, monitor, evacuator);
+  if (renders != nullptr) {
+    policy.add_epoch_hook([&](std::uint64_t, unsigned) {
+      renders->push_back(policy.engine().render_decision_log());
+      return 0.0;
+    });
+  }
   policy.attach(bed.runner->exec(), [&] { bed.runner->refresh_arrays(); });
 
   auto result = bed.runner->run();
@@ -763,6 +771,27 @@ TEST(KvCachePhaseChaosTest, DecisionLogsWithoutFaultsMatchRecordedDigests) {
   EXPECT_EQ(logs.evacuator_log.size(), 16450u);
   EXPECT_EQ(support::fnv1a64(logs.evacuator_log), 0x0cb7b5cbadaf3fd3ull)
       << logs.evacuator_log;
+}
+
+TEST(KvCachePhaseChaosTest, EpochByEpochRenderReachesRecordedDigest) {
+  // The no-fault digest scenario with the engine's log rendered after every
+  // epoch. Each render appends only the decisions logged since the one
+  // before, so every render is a prefix of the last, and the last is the
+  // log rendered once at the end.
+  MoverLogs logs;
+  std::vector<std::string> renders;
+  ASSERT_NO_FATAL_FAILURE(run_digest_scenario(nullptr, &logs, &renders));
+  ASSERT_GE(renders.size(), 48u);
+  EXPECT_EQ(renders.back(), logs.engine_log);
+  EXPECT_EQ(logs.engine_log.size(), 13124u);
+  EXPECT_EQ(support::fnv1a64(logs.engine_log), 0x0ee549a50e5d2d76ull);
+  std::size_t grew = 0;
+  for (std::size_t i = 0; i < renders.size(); ++i) {
+    ASSERT_EQ(logs.engine_log.compare(0, renders[i].size(), renders[i]), 0)
+        << "render " << i << " is not a prefix of the final log";
+    if (i > 0 && renders[i].size() > renders[i - 1].size()) ++grew;
+  }
+  EXPECT_GT(grew, 10u);
 }
 
 }  // namespace

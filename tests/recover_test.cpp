@@ -290,6 +290,11 @@ TEST(SnapshotRejectionTest, EveryNumericFieldAndIndexIsChecked) {
         << line;
     ++cases;
   };
+  // A field past the record's last is refused too, once per tag. A record
+  // that ends in free text reads any trailing words as part of it.
+  const std::set<std::string> text_tailed = {"preset", "buffer", "tenant",
+                                             "fsite"};
+  std::set<std::string> trailed;
   for (std::size_t at = 1; at < lines.size(); ++at) {
     const std::string tag = first_word(lines[at]);
     if (tag == "dlog" || tag == "checksum" || tag == "end") continue;
@@ -300,8 +305,12 @@ TEST(SnapshotRejectionTest, EveryNumericFieldAndIndexIsChecked) {
       const std::uint64_t index = std::stoull(lines[at].substr(tag.size()));
       expect_malformed(at, with_field(lines[at], 1, std::to_string(index + 1)));
     }
+    if (text_tailed.count(tag) == 0 && trailed.insert(tag).second) {
+      expect_malformed(at, lines[at] + " 0");
+    }
   }
   EXPECT_GT(cases, 300u);
+  EXPECT_EQ(trailed.size(), 19u);
 }
 
 /// Rewrites the checksum line to match the (possibly damaged) payload, so

@@ -471,6 +471,36 @@ TEST_F(MigrationEngineTest, BreakevenGateRejectsColdMoves) {
             runtime::Verdict::kRejectedBreakeven);
 }
 
+TEST_F(MigrationEngineTest, RenderAfterRestoredPrefixAppendsNewDecisions) {
+  const unsigned slow = nvdimm_node();
+  auto buffer = machine_.allocate(2 * kGiB, slow, "barely.warm", 4096);
+  ASSERT_TRUE(buffer.ok());
+  runtime::OnlineClassifier classifier(classifier_options(1.0, 1));
+  classifier.observe(make_epoch(0, {{buffer->index, random_traffic(1e5)}}));
+
+  // The same decisions from an engine with no restored prefix.
+  runtime::MigrationEngine plain(allocator_, initiator_, {});
+  plain.run_epoch(1, classifier, 4);
+  plain.run_epoch(2, classifier, 4);
+  const std::string decisions = plain.render_decision_log();
+  ASSERT_EQ(plain.decisions().size(), 2u);
+
+  const std::string prefix = "epoch 0 restored narrative\n";
+  runtime::MigrationEngine engine(allocator_, initiator_, {});
+  engine.restore_log_prefix(prefix);
+  EXPECT_EQ(engine.render_decision_log(), prefix);
+  engine.run_epoch(1, classifier, 4);
+  const std::string first = engine.render_decision_log();
+  engine.run_epoch(2, classifier, 4);
+  EXPECT_EQ(engine.render_decision_log(), prefix + decisions);
+  EXPECT_EQ(first, prefix + decisions.substr(0, decisions.find('\n') + 1));
+
+  // A second restore replaces the rendered text: the new prefix, then every
+  // decision the engine holds.
+  engine.restore_log_prefix("other\n");
+  EXPECT_EQ(engine.render_decision_log(), "other\n" + decisions);
+}
+
 TEST_F(MigrationEngineTest, EvictsColdBufferToMakeRoom) {
   const unsigned slow = nvdimm_node();
   const std::uint64_t dram_capacity =

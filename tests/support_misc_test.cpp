@@ -381,6 +381,28 @@ TEST(LineCodec, WriterAndReaderShareOneFieldList) {
   EXPECT_EQ(read.label, written.label);
 }
 
+TEST(LineCodec, ReaderRefusesAFieldPastTheRecord) {
+  // A parser checks at_end() after a record's last field: a trailing field,
+  // even an empty one after a trailing space, is one field too many.
+  auto reads_exactly = [](std::string_view fields) {
+    FieldReader reader(fields);
+    std::uint64_t a = 0;
+    double b = 0.0;
+    return reader(a, b) && reader.at_end();
+  };
+  EXPECT_TRUE(reads_exactly("1 0x1p+0"));
+  EXPECT_FALSE(reads_exactly("1 0x1p+0 2"));
+  EXPECT_FALSE(reads_exactly("1 0x1p+0 "));
+  EXPECT_FALSE(reads_exactly("1 0x1p+0 junk"));
+
+  FieldReader texted("1 free text ");
+  std::uint64_t a = 0;
+  std::string tail;
+  ASSERT_TRUE(texted(a) && texted.text(tail));
+  EXPECT_EQ(tail, "free text ");
+  EXPECT_TRUE(texted.at_end()) << "free text runs to the end of the line";
+}
+
 TEST(LineCodec, ReaderRangeChecksEveryField) {
   auto reads = [](std::string_view fields) {
     FieldReader reader(fields);

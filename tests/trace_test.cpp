@@ -15,6 +15,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -481,8 +483,28 @@ TEST(TraceFormatTest, RecordedTraceMatchesRecordedDigest) {
 TEST(TraceRejectionTest, EveryNumericFieldIsChecked) {
   const std::vector<std::string> lines = lines_of(recorded_trace_text());
   std::size_t cases = 0;
+  auto expect_rejected = [&](std::size_t at, const std::string& line,
+                             const std::string& want) {
+    auto parsed = trace::parse(with_line(lines, at, line));
+    ASSERT_FALSE(parsed.ok()) << line;
+    EXPECT_EQ(parsed.error().message, "trace parse error at line " +
+                                          std::to_string(at + 1) + ": " + want)
+        << line;
+    ++cases;
+  };
+  // A field past the record's last is refused too, once per tag, with the
+  // record's own error.
+  const std::map<std::string, std::string> trailing = {
+      {"threads", "bad thread count"},
+      {"phases_per_epoch", "bad phases_per_epoch"},
+      {"epoch", "bad epoch line"},
+      {"s", "bad sample counter"}};
+  std::set<std::string> trailed;
   for (std::size_t at = 1; at < lines.size(); ++at) {
     const std::string tag = first_word(lines[at]);
+    if (trailing.count(tag) != 0 && trailed.insert(tag).second) {
+      expect_rejected(at, lines[at] + " 0", trailing.at(tag));
+    }
     const std::size_t fields = static_cast<std::size_t>(
         std::count(lines[at].begin(), lines[at].end(), ' '));
     for (std::size_t field = 1; field <= fields; ++field) {
@@ -499,17 +521,11 @@ TEST(TraceRejectionTest, EveryNumericFieldIsChecked) {
       } else {
         continue;
       }
-      const std::string line = with_field(lines[at], field, "x");
-      auto parsed = trace::parse(with_line(lines, at, line));
-      ASSERT_FALSE(parsed.ok()) << line;
-      EXPECT_EQ(parsed.error().message, "trace parse error at line " +
-                                            std::to_string(at + 1) + ": " +
-                                            want)
-          << line;
-      ++cases;
+      expect_rejected(at, with_field(lines[at], field, "x"), want);
     }
   }
   EXPECT_GT(cases, 50u);
+  EXPECT_EQ(trailed.size(), trailing.size());
 }
 
 TEST(TraceRejectionTest, RangeChecksIntegersAndSigns) {
