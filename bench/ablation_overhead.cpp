@@ -1,23 +1,26 @@
-// Sampler-overhead ablation: BENCH_overhead.json (docs/PERF.md,
-// docs/RUNTIME.md "Adaptive sampling").
+// Sampler-overhead ablation: BENCH_overhead.json (docs/PERF.md "Telemetry
+// journal", docs/RUNTIME.md "Adaptive sampling").
 //
-// Measures what the telemetry-ring rework buys: the per-epoch cost of
-// EpochSampler::on_phase — the snapshot-diff + subsampling work charged
-// between phases — under the ring transport (drain dirty buffers only)
-// versus the legacy merge-on-demand transport (merge every thread's full
-// counter vector, then diff the whole buffer range). The workload is shaped
-// to make the difference structural, not incidental: a wide buffer
-// population (16384) of which each phase touches a sliding 64-buffer window,
-// partitioned across 16 threads the way phase kernels partition their
-// working set — so the legacy path scans 16384 x 16 counter rows per epoch
-// while the ring path drains the ~64 records the phase actually published.
+// Measures what the telemetry journal buys: the per-epoch cost of
+// EpochSampler::on_phase — the delta read + subsampling work charged
+// between phases — which sums only the buffers journaled since its last
+// read, against a baseline that does what the sampler did before the
+// journal: merge every thread's full counter vector
+// (ExecutionContext::merged_buffer_traffic) and diff the whole buffer
+// range. The workload is shaped to make the difference structural, not
+// incidental: a wide buffer population (16384) of which each phase touches
+// a sliding 64-buffer window, partitioned across 16 threads the way phase
+// kernels partition their working set — so the baseline scans 16384 x 16
+// counter rows per epoch while the sampler sums the ~64 journaled buffers.
 //
-//   overhead   both modes run the identical window workload; sampler cost
-//              is accumulated wall time around on_phase() (min of 3 reps);
-//              both modes must emit identical epoch streams.
-//   decisions  the phase-flip policy workload of bench/ablation_runtime run
-//              in both modes; the full decision log must match byte for
-//              byte (the rings change WHERE counters flow, never a bit of
+//   overhead   sampler and baseline read the same window workload after
+//              every phase; each one's cost is accumulated wall time around
+//              its read (min of 3 reps); both must emit identical epoch
+//              streams.
+//   decisions  the phase-flip policy workload of bench/ablation_runtime;
+//              its decision log must keep the byte count and FNV-1a digest
+//              recorded before the journal replaced the telemetry rings
+//              (the transport changes WHERE counters flow, never a bit of
 //              WHAT the policy sees).
 //   adaptive   the overhead controller under a deterministic cost model
 //              (cost fraction 0.04 / period): the effective period walks
@@ -25,10 +28,10 @@
 //              of an adaptive run replays to a byte-identical decision log.
 //
 // Gates (--check exits 1 when any fails):
-//   speedup    rings reduce mean sampler cost per epoch by >= 10x at 16
-//              threads;
-//   identical  both transports emit the same epochs (count, samples, bytes)
-//              and the same policy decision log;
+//   speedup    the sampler's mean cost per epoch undercuts the full-merge
+//              baseline by >= 10x at 16 threads;
+//   identical  sampler and baseline emit the same epochs (count, samples,
+//              bytes) and the flip decision log matches its recorded digest;
 //   adaptive   period trajectory is monotone non-decreasing under sustained
 //              pressure, parks within [floor, max], and the terminal period
 //              satisfies the budget under the cost model;
@@ -37,15 +40,18 @@
 // Usage: ablation_overhead [--out FILE] [--check]
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common.hpp"
 #include "hetmem/runtime/policy.hpp"
 #include "hetmem/simmem/array.hpp"
 #include "hetmem/simmem/exec.hpp"
+#include "hetmem/support/line_codec.hpp"
 #include "hetmem/trace/trace.hpp"
 
 namespace {
@@ -88,14 +94,51 @@ struct EpochDigest {
   bool operator==(const EpochDigest&) const = default;
 };
 
-struct OverheadRun {
-  double sampler_ns_total = 0.0;
-  EpochDigest digest;
+/// The pre-journal sampler's read: merge every thread's full counter vector,
+/// then diff the whole buffer range against the counters last emitted, with
+/// the sampler's inclusion rule.
+class FullMergeBaseline {
+ public:
+  /// Reads one exact epoch and returns its (samples, total_memory_bytes).
+  std::pair<std::uint64_t, double> read(const sim::ExecutionContext& exec) {
+    const std::vector<sim::BufferTraffic> merged = exec.merged_buffer_traffic();
+    if (snapshot_.size() < merged.size()) snapshot_.resize(merged.size());
+    std::uint64_t samples = 0;
+    double total_bytes = 0.0;
+    for (std::size_t index = 0; index < merged.size(); ++index) {
+      const sim::BufferTraffic& now = merged[index];
+      const sim::BufferTraffic& then = snapshot_[index];
+      const double reads = now.reads - then.reads;
+      const double writes = now.writes - then.writes;
+      const double memory_bytes = now.memory_bytes - then.memory_bytes;
+      if (!(reads > 0.0 || writes > 0.0 || memory_bytes > 0.0)) continue;
+      snapshot_[index] = now;
+      ++samples;
+      total_bytes += memory_bytes;
+    }
+    return {samples, total_bytes};
+  }
+
+ private:
+  std::vector<sim::BufferTraffic> snapshot_;
 };
 
-/// Runs the sliding-window workload once and accumulates the wall time the
-/// sampler spends per epoch boundary.
-OverheadRun run_window_workload(sim::TelemetryMode mode) {
+struct OverheadRun {
+  double sampler_ns_total = 0.0;
+  double baseline_ns_total = 0.0;
+  EpochDigest sampler;
+  EpochDigest baseline;
+};
+
+double elapsed_ns(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::nano>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+/// Runs the sliding-window workload once; after every phase the sampler
+/// and then the baseline read the epoch, each under its own timer.
+OverheadRun run_window_workload() {
   OverheadRun run;
   sim::SimMachine machine(topo::xeon_clx_1lm());
   const support::Bitmap initiator = first_initiator(machine.topology());
@@ -109,8 +152,8 @@ OverheadRun run_window_workload(sim::TelemetryMode mode) {
   }
 
   sim::ExecutionContext exec(machine, initiator, kThreads);
-  exec.set_telemetry_mode(mode);
   runtime::EpochSampler sampler;  // defaults: one phase per epoch, exact
+  FullMergeBaseline baseline;
 
   // Initialization pass: touch every buffer once so each thread's counter
   // vector spans the whole population (as after any real init sweep), then
@@ -124,6 +167,7 @@ OverheadRun run_window_workload(sim::TelemetryMode mode) {
                    }
                  });
   (void)sampler.on_phase(exec);
+  (void)baseline.read(exec);
 
   for (unsigned phase = 0; phase < kPhases; ++phase) {
     const std::size_t base =
@@ -135,56 +179,67 @@ OverheadRun run_window_workload(sim::TelemetryMode mode) {
                        arrays[base + slot].record_bulk_read(ctx, 4096.0);
                      }
                    });
-    const auto start = std::chrono::steady_clock::now();
+    auto start = std::chrono::steady_clock::now();
     std::optional<runtime::Epoch> epoch = sampler.on_phase(exec);
-    run.sampler_ns_total += std::chrono::duration<double, std::nano>(
-                                std::chrono::steady_clock::now() - start)
-                                .count();
+    run.sampler_ns_total += elapsed_ns(start);
     if (epoch.has_value()) {
-      ++run.digest.epochs;
-      run.digest.samples += epoch->samples.size();
-      run.digest.total_bytes += epoch->total_memory_bytes;
+      ++run.sampler.epochs;
+      run.sampler.samples += epoch->samples.size();
+      run.sampler.total_bytes += epoch->total_memory_bytes;
     }
+
+    start = std::chrono::steady_clock::now();
+    const auto [samples, total_bytes] = baseline.read(exec);
+    run.baseline_ns_total += elapsed_ns(start);
+    ++run.baseline.epochs;
+    run.baseline.samples += samples;
+    run.baseline.total_bytes += total_bytes;
   }
   return run;
 }
 
 struct OverheadResult {
-  double rings_ns_per_epoch = 0.0;
-  double legacy_ns_per_epoch = 0.0;
+  double sampler_ns_per_epoch = 0.0;
+  double baseline_ns_per_epoch = 0.0;
   double speedup = 0.0;
   bool digests_equal = false;
 };
 
 OverheadResult run_overhead_section() {
   OverheadResult result;
-  OverheadRun best_rings, best_legacy;
+  double best_sampler = 0.0;
+  double best_baseline = 0.0;
+  bool digests_equal = true;
   for (int rep = 0; rep < kReps; ++rep) {
-    OverheadRun rings = run_window_workload(sim::TelemetryMode::kRings);
-    OverheadRun legacy = run_window_workload(sim::TelemetryMode::kLegacyMerge);
-    if (rep == 0 || rings.sampler_ns_total < best_rings.sampler_ns_total) {
-      best_rings = rings;
+    const OverheadRun run = run_window_workload();
+    if (rep == 0 || run.sampler_ns_total < best_sampler) {
+      best_sampler = run.sampler_ns_total;
     }
-    if (rep == 0 || legacy.sampler_ns_total < best_legacy.sampler_ns_total) {
-      best_legacy = legacy;
+    if (rep == 0 || run.baseline_ns_total < best_baseline) {
+      best_baseline = run.baseline_ns_total;
     }
+    digests_equal = digests_equal && run.sampler == run.baseline &&
+                    run.sampler.epochs == kPhases;
   }
-  result.rings_ns_per_epoch = best_rings.sampler_ns_total / kPhases;
-  result.legacy_ns_per_epoch = best_legacy.sampler_ns_total / kPhases;
-  result.speedup = result.rings_ns_per_epoch > 0.0
-                       ? result.legacy_ns_per_epoch / result.rings_ns_per_epoch
+  result.sampler_ns_per_epoch = best_sampler / kPhases;
+  result.baseline_ns_per_epoch = best_baseline / kPhases;
+  result.speedup = result.sampler_ns_per_epoch > 0.0
+                       ? result.baseline_ns_per_epoch / result.sampler_ns_per_epoch
                        : 0.0;
-  result.digests_equal = best_rings.digest == best_legacy.digest &&
-                         best_rings.digest.epochs == kPhases;
+  result.digests_equal = digests_equal;
   return result;
 }
 
-// --- decision-equality section --------------------------------------------
+// --- decision-digest section ----------------------------------------------
 
 constexpr unsigned kFlipThreads = 4;
 constexpr unsigned kPhasesPerPart = 24;
 constexpr std::uint64_t kBufferBytes = 1 * kGiB;
 constexpr std::uint64_t kFastHeadroom = kBufferBytes + kBufferBytes / 2;
+// The flip workload's decision log as the telemetry-ring transport wrote
+// it, which the journal must reproduce byte for byte.
+constexpr std::size_t kFlipLogBytes = 377;
+constexpr std::uint64_t kFlipLogFnv1a64 = 0xbb6b8e3b27ae57cbull;
 
 runtime::RuntimePolicyOptions flip_options() {
   runtime::RuntimePolicyOptions options;
@@ -203,8 +258,7 @@ struct FlipRun {
 
 /// The ablation_runtime phase-flip workload: stream S then chase R, both
 /// starting on the capacity target with fast memory squeezed to one slot.
-FlipRun run_flip(sim::TelemetryMode mode, runtime::RuntimePolicyOptions options,
-                 bool record) {
+FlipRun run_flip(runtime::RuntimePolicyOptions options, bool record) {
   FlipRun run;
   bench::Testbed bed = bench::make_xeon();
   const support::Bitmap initiator = first_initiator(bed.topology());
@@ -226,7 +280,6 @@ FlipRun run_flip(sim::TelemetryMode mode, runtime::RuntimePolicyOptions options,
   sim::Array<double> stream_array(*bed.machine, *streamed);
   sim::Array<double> chase_array(*bed.machine, *chased);
   sim::ExecutionContext exec(*bed.machine, initiator, kFlipThreads);
-  exec.set_telemetry_mode(mode);
 
   runtime::RuntimePolicy policy(*bed.allocator, initiator, options);
   trace::TraceRecorder recorder({.workload = "overhead.flip"});
@@ -319,8 +372,7 @@ struct AdaptiveResult {
 
 AdaptiveResult run_adaptive_section() {
   AdaptiveResult result;
-  FlipRun live = run_flip(sim::TelemetryMode::kRings, adaptive_options(),
-                          /*record=*/true);
+  FlipRun live = run_flip(adaptive_options(), /*record=*/true);
   if (!live.ok) return result;
   result.ok = true;
   result.periods = live.periods;
@@ -368,13 +420,14 @@ int main(int argc, char** argv) {
 
   const OverheadResult overhead = run_overhead_section();
 
-  const FlipRun rings =
-      run_flip(sim::TelemetryMode::kRings, flip_options(), false);
-  const FlipRun legacy =
-      run_flip(sim::TelemetryMode::kLegacyMerge, flip_options(), false);
-  const bool decisions_identical = rings.ok && legacy.ok &&
-                                   !rings.decision_log.empty() &&
-                                   rings.decision_log == legacy.decision_log;
+  const FlipRun flip = run_flip(flip_options(), false);
+  const std::uint64_t flip_digest = support::fnv1a64(flip.decision_log);
+  char flip_digest_hex[17];
+  std::snprintf(flip_digest_hex, sizeof flip_digest_hex, "%016llx",
+                static_cast<unsigned long long>(flip_digest));
+  const bool decisions_identical = flip.ok &&
+                                   flip.decision_log.size() == kFlipLogBytes &&
+                                   flip_digest == kFlipLogFnv1a64;
 
   const AdaptiveResult adaptive = run_adaptive_section();
 
@@ -392,20 +445,23 @@ int main(int argc, char** argv) {
   }
   bench::JsonWriter json(out);
   json.begin_object();
-  json.key("schema").value("hetmem.bench.overhead/1");
+  json.key("schema").value("hetmem.bench.overhead/2");
   json.key("fixture").value("xeon_clx_1lm");
   json.key("overhead").begin_object();
   json.key("threads").value(kThreads);
   json.key("buffers").value(static_cast<std::uint64_t>(kBuffers));
   json.key("window").value(static_cast<std::uint64_t>(kWindow));
   json.key("epochs").value(kPhases);
-  json.key("rings_ns_per_epoch").value(overhead.rings_ns_per_epoch);
-  json.key("legacy_ns_per_epoch").value(overhead.legacy_ns_per_epoch);
+  json.key("sampler_ns_per_epoch").value(overhead.sampler_ns_per_epoch);
+  json.key("full_merge_ns_per_epoch").value(overhead.baseline_ns_per_epoch);
   json.key("speedup").value(overhead.speedup);
   json.key("epoch_streams_identical").value(overhead.digests_equal);
   json.end_object();
   json.key("decisions").begin_object();
-  json.key("rings_vs_legacy_identical").value(decisions_identical);
+  json.key("log_bytes").value(
+      static_cast<std::uint64_t>(flip.decision_log.size()));
+  json.key("log_fnv1a64").value(flip_digest_hex);
+  json.key("matches_recorded").value(decisions_identical);
   json.end_object();
   json.key("adaptive").begin_object();
   json.key("periods").begin_array();
@@ -427,13 +483,14 @@ int main(int argc, char** argv) {
 
   std::printf("sampler overhead at %u threads, %zu buffers (window %zu):\n",
               kThreads, kBuffers, kWindow);
-  std::printf("  rings  %.0f ns/epoch\n  legacy %.0f ns/epoch\n"
+  std::printf("  journal    %.0f ns/epoch\n  full merge %.0f ns/epoch\n"
               "  speedup %.1fx [%s]\n",
-              overhead.rings_ns_per_epoch, overhead.legacy_ns_per_epoch,
+              overhead.sampler_ns_per_epoch, overhead.baseline_ns_per_epoch,
               overhead.speedup, speedup_ok ? "PASS: >= 10x" : "FAIL: < 10x");
-  std::printf("epoch streams identical: %s; decision logs identical: %s "
-              "[%s]\n",
-              overhead.digests_equal ? "yes" : "NO",
+  std::printf("epoch streams identical: %s; flip decision log %zu B, "
+              "fnv1a64 %s, matches recorded: %s [%s]\n",
+              overhead.digests_equal ? "yes" : "NO", flip.decision_log.size(),
+              flip_digest_hex,
               decisions_identical ? "yes" : "NO",
               identical_ok ? "PASS" : "FAIL");
   std::printf("adaptive periods:");

@@ -34,9 +34,10 @@ void run_case(bench::Testbed& bed, const char* name,
       *bed.machine, needs_allocator ? bed.allocator.get() : nullptr,
       bed.topology().numa_node(0)->cpuset(), config(), placement);
   if (!runner.ok()) {
-    table.add_row({name, "-", "-", "-",
-                   "(" + std::string(support::errc_name(runner.error().code)) +
-                       ")"});
+    std::string reason = "(";
+    reason += support::errc_name(runner.error().code);
+    reason += ')';
+    table.add_row({name, "-", "-", "-", reason});
     return;
   }
   auto result = (*runner)->run();

@@ -28,12 +28,18 @@ void report(const char* title, bench::Testbed& bed) {
   for (attr::AttrId attribute : {attr::kLatency, attr::kBandwidth}) {
     std::vector<std::string> headers = {"initiator \\ target"};
     for (const topo::Object* node : topology.numa_nodes()) {
-      headers.push_back("L#" + std::to_string(node->logical_index()) + " " +
-                        topo::memory_kind_name(node->memory_kind()));
+      std::string header = "L#";
+      header += std::to_string(node->logical_index());
+      header += ' ';
+      header += topo::memory_kind_name(node->memory_kind());
+      headers.push_back(std::move(header));
     }
     support::TextTable table(std::move(headers));
     for (const support::Bitmap& locality : localities) {
-      std::vector<std::string> row = {"{" + locality.to_list_string() + "}"};
+      std::string cpus = "{";
+      cpus += locality.to_list_string();
+      cpus += '}';
+      std::vector<std::string> row = {cpus};
       const auto initiator = attr::Initiator::from_cpuset(locality);
       for (const topo::Object* node : topology.numa_nodes()) {
         auto value = bed.registry->value(attribute, *node, initiator);

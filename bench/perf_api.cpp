@@ -13,7 +13,6 @@
 #include "hetmem/hmat/hmat.hpp"
 #include "hetmem/memattr/memattr.hpp"
 #include "hetmem/simmem/machine.hpp"
-#include "hetmem/simmem/telemetry.hpp"
 #include "hetmem/support/units.hpp"
 #include "hetmem/topo/presets.hpp"
 
@@ -281,60 +280,6 @@ void BM_PoolMutex(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PoolMutex)
-    ->Threads(1)->Threads(2)->Threads(4)->Threads(8)->Threads(16)
-    ->Iterations(kThreadedIterations)
-    ->UseRealTime();
-
-// --- telemetry publish: per-thread SPSC rings vs shared atomic counters ---
-//
-// The hand-off the runtime's sampler rework is built on (docs/PERF.md,
-// docs/CONCURRENCY.md): each thread publishes per-buffer traffic records
-// into its OWN ring — no shared cache line on the publish path, so the
-// curve stays flat from 1 to 16 threads. The baseline is the shared-atomic
-// design the rings replace: all threads CAS-add into one table of per-buffer
-// counters, and the 64-buffer rotation keeps them ping-ponging the same
-// lines. Ring drains (pop_batch when full) are charged to the producer here
-// so the comparison includes the consumer side's work.
-
-constexpr std::uint32_t kTelemetryBuffers = 64;
-
-void BM_TelemetryRingRecord(benchmark::State& state) {
-  static sim::TelemetryRing rings[16];
-  sim::TelemetryRing& ring = rings[state.thread_index()];
-  sim::TelemetryRecord record;
-  sim::TelemetryRecord drained[128];
-  for (auto _ : state) {
-    record.cumulative.reads += 1.0;
-    record.cumulative.memory_bytes += 64.0;
-    if (!ring.try_push(record)) {
-      while (ring.pop_batch(drained, 128) > 0) {
-        benchmark::DoNotOptimize(drained[0]);
-      }
-      (void)ring.try_push(record);
-    }
-    record.buffer = (record.buffer + 1) % kTelemetryBuffers;
-  }
-  sim::TelemetryRecord sink;
-  while (ring.try_pop(sink)) benchmark::DoNotOptimize(sink);
-}
-BENCHMARK(BM_TelemetryRingRecord)
-    ->Threads(1)->Threads(2)->Threads(4)->Threads(8)->Threads(16)
-    ->Iterations(kThreadedIterations)
-    ->UseRealTime();
-
-void BM_SharedTrafficRecord(benchmark::State& state) {
-  static sim::SharedTrafficTable table(kTelemetryBuffers);
-  sim::BufferTraffic delta;
-  delta.reads = 1.0;
-  delta.memory_bytes = 64.0;
-  std::uint32_t buffer = static_cast<std::uint32_t>(state.thread_index());
-  for (auto _ : state) {
-    table.record(buffer % kTelemetryBuffers, delta);
-    ++buffer;
-  }
-  benchmark::DoNotOptimize(table.read(0));
-}
-BENCHMARK(BM_SharedTrafficRecord)
     ->Threads(1)->Threads(2)->Threads(4)->Threads(8)->Threads(16)
     ->Iterations(kThreadedIterations)
     ->UseRealTime();

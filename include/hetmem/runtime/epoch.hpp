@@ -2,9 +2,9 @@
 //
 // An *epoch* is the unit at which the runtime observes and acts: every
 // `phases_per_epoch` completed phases, the sampler reads the per-buffer
-// traffic deltas accumulated since its previous epoch (through the
-// execution context's telemetry-ring reader — O(dirty buffers), not a full
-// merge) and emits them. `sample_period` emulates PEBS-style sampled
+// traffic deltas accumulated since its previous epoch (through its own
+// sim::TelemetryReader on the execution context's journal — O(dirty
+// buffers), not a full merge) and emits them. `sample_period` emulates PEBS-style sampled
 // tracking (Olson et al., arXiv:2110.02150; Nonell et al.,
 // arXiv:2011.13432): with a period P, counters are only known at a
 // granularity of P events (P cache lines for byte counters), reconstructed

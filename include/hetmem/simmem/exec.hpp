@@ -15,6 +15,11 @@
 // node constants come from MachinePerfModel::effective() (working-set and
 // locality adjusted), and lat_eff includes one loaded-latency refinement
 // using the node's bandwidth utilization from a first pass.
+//
+// Per-buffer traffic stays in each worker's own ThreadCtx. After the pool
+// join, run_phase journals the buffers the phase touched; an epoch consumer
+// reads its deltas through a TelemetryReader, which sums only the journaled
+// buffers' counters over the threads (docs/PERF.md "Telemetry journal").
 #pragma once
 
 #include <cstdint>
@@ -25,7 +30,6 @@
 #include <vector>
 
 #include "hetmem/simmem/machine.hpp"
-#include "hetmem/simmem/telemetry.hpp"
 #include "hetmem/simmem/traffic.hpp"
 #include "hetmem/support/bitmap.hpp"
 #include "hetmem/support/thread_pool.hpp"
@@ -81,16 +85,23 @@ void resolve_phase_into(const SimMachine& machine,
                         std::span<ThreadCtx* const> contexts,
                         ResolveScratch& scratch, PhaseResult& result);
 
-/// How per-buffer traffic reaches epoch consumers (docs/PERF.md):
-///  - kRings (default): workers publish touched-buffer records into
-///    per-thread SPSC telemetry rings at the end of their phase slice; the
-///    main thread drains lazily when a consumer reads, recomputing only the
-///    dirty buffers — O(dirty x threads) per epoch.
-///  - kLegacyMerge: the pre-ring merge-on-demand path — every read merges
-///    every thread's full counter vector, O(threads x buffers) per call.
-///    Kept as the measured baseline for bench/ablation_overhead and as a
-///    bit-exactness cross-check (both modes produce identical doubles).
-enum class TelemetryMode { kRings, kLegacyMerge };
+/// Per-consumer cursor into an ExecutionContext's traffic journal: the
+/// context it last read, the journal position it has processed there and
+/// the merged counters it last emitted per buffer. Each consumer (sampler,
+/// recorder, ...) owns one, so independent epoch cadences never share diff
+/// state. A fresh reader, or one that last read another context, starts at
+/// the beginning of the journal with a zero snapshot and so observes the
+/// full cumulative traffic as its first delta.
+class TelemetryReader {
+ public:
+  TelemetryReader() = default;
+
+ private:
+  friend class ExecutionContext;
+  std::uint64_t context_id_ = 0;  // no context has id 0
+  std::vector<BufferTraffic> snapshot_;
+  std::size_t journal_cursor_ = 0;
+};
 
 class ExecutionContext {
  public:
@@ -147,35 +158,24 @@ class ExecutionContext {
     if (ns > 0.0) clock_ns_ += ns;
   }
 
-  /// Cumulative per-buffer traffic merged across all workers (for prof::).
-  /// In kRings mode this drains pending telemetry first; bit-identical to
-  /// the kLegacyMerge result.
+  /// Cumulative per-buffer traffic merged across all workers (for prof::
+  /// and alloc::advise_migrations): every thread's counters summed in
+  /// ascending thread order, O(threads x buffers) per call.
   [[nodiscard]] std::vector<BufferTraffic> merged_buffer_traffic() const;
-
-  /// Selects the telemetry transport. Must be called before the first
-  /// run_phase(); defaults to kRings.
-  void set_telemetry_mode(TelemetryMode mode);
-  [[nodiscard]] TelemetryMode telemetry_mode() const { return telemetry_mode_; }
 
   /// Streams the cumulative-traffic deltas since `reader` last read, in
   /// ascending buffer-index order, to `fn(buffer_index, delta)` — the
   /// epoch-boundary consumer API (EpochSampler, TraceRecorder). Only
-  /// buffers with activity since the reader's last read are visited
-  /// (inclusion rule: reads > 0 || writes > 0 || memory_bytes > 0, the same
-  /// rule the sampler applies, so replay RNG streams stay aligned). Each
-  /// consumer owns its reader; cadences are independent. Main-thread only
-  /// (same thread that runs phases); in kRings mode this is what drains
-  /// the rings.
+  /// buffers journaled since the reader's last read are visited, and only
+  /// those with activity are emitted (inclusion rule: reads > 0 || writes >
+  /// 0 || memory_bytes > 0, the same rule the sampler applies, so replay
+  /// RNG streams stay aligned). Each consumer owns its reader; cadences are
+  /// independent. Main-thread only (same thread that runs phases).
   using DeltaFn = std::function<void(std::uint32_t, const BufferTraffic&)>;
   void read_traffic_deltas(TelemetryReader& reader, const DeltaFn& fn) const;
 
  private:
-  /// Drains every ring into latest_/merged_ and appends newly dirty buffer
-  /// ids to the journal. Main-thread only; workers must be quiescent enough
-  /// that each ring has a single producer (true between phases and after
-  /// the pool join inside run_phase).
-  void drain_telemetry() const;
-
+  const std::uint64_t id_;  // never reused; binds TelemetryReaders
   SimMachine* machine_;
   support::Bitmap initiator_;
   std::vector<std::unique_ptr<ThreadCtx>> contexts_;
@@ -186,23 +186,16 @@ class ExecutionContext {
   std::vector<PhaseResult> history_;
   PhaseObserver phase_observer_;
 
-  // Telemetry state. Mutable because consumers read through const contexts
-  // (profiler, sampler) while the drain updates the merged view; all access
-  // is main-thread-only, so no synchronization is needed here.
-  TelemetryMode telemetry_mode_ = TelemetryMode::kRings;
-  std::vector<std::unique_ptr<TelemetryRing>> rings_;  // one per sim thread
-  /// Last published cumulative counters per (thread, buffer) — the drain's
-  /// shadow of each ThreadCtx::buffer_traffic().
-  mutable std::vector<std::vector<BufferTraffic>> latest_;
-  /// merged_[b] == sum over threads (ascending) of latest_[t][b]; only
-  /// recomputed for buffers dirtied since the previous drain.
-  mutable std::vector<BufferTraffic> merged_;
-  /// Append-only ids of buffers whose merged_ entry changed, in drain
-  /// order; TelemetryReaders cursor into this (duplicates are idempotent —
-  /// a re-read yields an exact-zero delta, which the inclusion rule skips).
-  mutable std::vector<std::uint32_t> dirty_journal_;
-  mutable std::vector<std::uint8_t> dirty_mark_;     // per-drain scratch
-  mutable std::vector<std::uint32_t> drain_scratch_; // per-drain dirty ids
+  /// Append-only ids of the buffers phases touched, one entry per buffer
+  /// per read interval; TelemetryReaders cursor into this. run_phase
+  /// appends after the pool join, reads run on the same thread, so this
+  /// state needs no synchronization.
+  std::vector<std::uint32_t> dirty_journal_;
+  /// Per buffer, the journal size just after its latest entry (0: none).
+  std::vector<std::size_t> journaled_at_;
+  /// Journal size at the most recent read: a buffer with an entry at or
+  /// past this position is not journaled again.
+  mutable std::size_t journal_read_end_ = 0;
   mutable std::vector<std::uint32_t> read_scratch_;  // per-read sorted ids
   std::vector<std::uint64_t> node_bytes_scratch_;    // per-phase power batch
 };

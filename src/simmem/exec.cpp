@@ -1,10 +1,33 @@
 #include "hetmem/simmem/exec.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <thread>
 
 namespace hetmem::sim {
+
+namespace {
+
+/// Ids start at 1 so a fresh TelemetryReader (id 0) never matches a context.
+std::uint64_t next_context_id() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+/// The six-field add every merge uses. Summing threads in ascending order
+/// from zero-initialized accumulators makes the full merge and an epoch
+/// read's per-buffer sum the same additions, so both give the same bits.
+void add_traffic(BufferTraffic& into, const BufferTraffic& from) {
+  into.reads += from.reads;
+  into.writes += from.writes;
+  into.llc_misses += from.llc_misses;
+  into.memory_bytes += from.memory_bytes;
+  into.random_accesses += from.random_accesses;
+  into.random_misses += from.random_misses;
+}
+
+}  // namespace
 
 PhaseResult resolve_phase(const SimMachine& machine,
                           const support::Bitmap& initiator,
@@ -185,25 +208,18 @@ void resolve_phase_into(const SimMachine& machine,
 
 ExecutionContext::ExecutionContext(SimMachine& machine, support::Bitmap initiator,
                                    unsigned thread_count)
-    : machine_(&machine), initiator_(std::move(initiator)) {
+    : id_(next_context_id()), machine_(&machine),
+      initiator_(std::move(initiator)) {
   assert(thread_count >= 1);
   const std::size_t node_count = machine.topology().numa_nodes().size();
   contexts_.reserve(thread_count);
   raw_contexts_.reserve(thread_count);
-  rings_.reserve(thread_count);
-  latest_.resize(thread_count);
   for (unsigned i = 0; i < thread_count; ++i) {
     contexts_.push_back(std::make_unique<ThreadCtx>(node_count));
     raw_contexts_.push_back(contexts_.back().get());
-    rings_.push_back(std::make_unique<TelemetryRing>());
   }
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   pool_ = std::make_unique<support::ThreadPool>(std::min(thread_count, hw));
-}
-
-void ExecutionContext::set_telemetry_mode(TelemetryMode mode) {
-  assert(history_.empty() && "telemetry mode must be set before any phase");
-  telemetry_mode_ = mode;
 }
 
 void ExecutionContext::set_mlp(double mlp) {
@@ -230,7 +246,6 @@ const PhaseResult& ExecutionContext::run_phase(std::string name, std::size_t ite
   // each pool worker runs a contiguous range of simulated threads, each
   // simulated thread a contiguous slice of the items.
   const unsigned sim_threads = thread_count();
-  const bool publish_rings = telemetry_mode_ == TelemetryMode::kRings;
   pool_->parallel_for(
       sim_threads, [&](std::size_t, std::size_t first_sim, std::size_t last_sim) {
         for (std::size_t sim = first_sim; sim < last_sim; ++sim) {
@@ -239,24 +254,19 @@ const PhaseResult& ExecutionContext::run_phase(std::string name, std::size_t ite
           const std::size_t begin = sim * base + std::min(sim, static_cast<std::size_t>(extra));
           const std::size_t end = begin + base + (sim < extra ? 1 : 0);
           body(*contexts_[sim], static_cast<unsigned>(sim), begin, end);
-          if (publish_rings) {
-            // Publish this thread's updated cumulative counters for every
-            // buffer it touched this phase — the only telemetry hand-off;
-            // nothing here is shared with other producers. On a full ring,
-            // stop and flag: the drain recovers the rest from the thread's
-            // counters directly.
-            ThreadCtx& ctx = *contexts_[sim];
-            TelemetryRing& ring = *rings_[sim];
-            const auto& cumulative = ctx.buffer_traffic();
-            for (std::uint32_t buffer : ctx.touched_buffers()) {
-              if (!ring.try_push({buffer, cumulative[buffer]})) {
-                ring.note_overflow();
-                break;
-              }
-            }
-          }
         }
       });
+
+  // The pool has joined the workers: journal the buffers this phase touched,
+  // skipping any already journaled since the last read.
+  for (const auto& ctx : contexts_) {
+    for (std::uint32_t buffer : ctx->touched_buffers()) {
+      if (journaled_at_.size() <= buffer) journaled_at_.resize(buffer + 1, 0);
+      if (journaled_at_[buffer] > journal_read_end_) continue;
+      dirty_journal_.push_back(buffer);
+      journaled_at_[buffer] = dirty_journal_.size();
+    }
+  }
 
   const std::size_t resolved = history_.size();
   PhaseResult& phase = history_.emplace_back();
@@ -286,140 +296,43 @@ const PhaseResult& ExecutionContext::run_phase(std::string name, std::size_t ite
 }
 
 std::vector<BufferTraffic> ExecutionContext::merged_buffer_traffic() const {
-  if (telemetry_mode_ == TelemetryMode::kRings) {
-    drain_telemetry();
-    return merged_;
-  }
   std::vector<BufferTraffic> merged;
   for (const auto& ctx : contexts_) {
     const auto& per_buffer = ctx->buffer_traffic();
     if (merged.size() < per_buffer.size()) merged.resize(per_buffer.size());
     for (std::size_t i = 0; i < per_buffer.size(); ++i) {
-      merged[i].reads += per_buffer[i].reads;
-      merged[i].writes += per_buffer[i].writes;
-      merged[i].llc_misses += per_buffer[i].llc_misses;
-      merged[i].memory_bytes += per_buffer[i].memory_bytes;
-      merged[i].random_accesses += per_buffer[i].random_accesses;
-      merged[i].random_misses += per_buffer[i].random_misses;
+      add_traffic(merged[i], per_buffer[i]);
     }
   }
   return merged;
 }
 
-namespace {
-
-/// The six-field add every merge path uses; starting from zero-initialized
-/// accumulators and adding in ascending thread order keeps the result
-/// bit-identical across the ring and legacy paths (adding 0.0 to a
-/// non-negative counter preserves its bits).
-void add_traffic(BufferTraffic& into, const BufferTraffic& from) {
-  into.reads += from.reads;
-  into.writes += from.writes;
-  into.llc_misses += from.llc_misses;
-  into.memory_bytes += from.memory_bytes;
-  into.random_accesses += from.random_accesses;
-  into.random_misses += from.random_misses;
-}
-
-bool traffic_equal_bits(const BufferTraffic& a, const BufferTraffic& b) {
-  return a.reads == b.reads && a.writes == b.writes &&
-         a.llc_misses == b.llc_misses && a.memory_bytes == b.memory_bytes &&
-         a.random_accesses == b.random_accesses &&
-         a.random_misses == b.random_misses;
-}
-
-}  // namespace
-
-void ExecutionContext::drain_telemetry() const {
-  drain_scratch_.clear();
-  auto mark_dirty = [&](std::uint32_t buffer) {
-    if (dirty_mark_.size() <= buffer) dirty_mark_.resize(buffer + 1, 0);
-    if (dirty_mark_[buffer]) return;
-    dirty_mark_[buffer] = 1;
-    drain_scratch_.push_back(buffer);
-  };
-
-  for (std::size_t t = 0; t < contexts_.size(); ++t) {
-    TelemetryRing& ring = *rings_[t];
-    std::vector<BufferTraffic>& shadow = latest_[t];
-    TelemetryRecord chunk[128];
-    for (std::size_t popped = ring.pop_batch(chunk, 128); popped > 0;
-         popped = ring.pop_batch(chunk, 128)) {
-      for (std::size_t index = 0; index < popped; ++index) {
-        const TelemetryRecord& record = chunk[index];
-        if (shadow.size() <= record.buffer) shadow.resize(record.buffer + 1);
-        shadow[record.buffer] = record.cumulative;
-        mark_dirty(record.buffer);
-      }
-    }
-    if (ring.consume_overflow()) {
-      // The ring filled mid-phase; the workers are quiescent now, so read
-      // the thread's cumulative counters directly and dirty whatever moved.
-      const auto& full = contexts_[t]->buffer_traffic();
-      if (shadow.size() < full.size()) shadow.resize(full.size());
-      for (std::uint32_t b = 0; b < full.size(); ++b) {
-        if (!traffic_equal_bits(shadow[b], full[b])) {
-          shadow[b] = full[b];
-          mark_dirty(b);
-        }
-      }
-    }
-  }
-
-  for (std::uint32_t buffer : drain_scratch_) {
-    BufferTraffic sum;
-    for (const std::vector<BufferTraffic>& shadow : latest_) {
-      if (buffer < shadow.size()) add_traffic(sum, shadow[buffer]);
-    }
-    if (merged_.size() <= buffer) merged_.resize(buffer + 1);
-    merged_[buffer] = sum;
-    dirty_journal_.push_back(buffer);
-    dirty_mark_[buffer] = 0;
-  }
-}
-
 void ExecutionContext::read_traffic_deltas(TelemetryReader& reader,
                                            const DeltaFn& fn) const {
-  if (telemetry_mode_ == TelemetryMode::kLegacyMerge) {
-    // Baseline path: full merge, full-range diff — exactly what the
-    // pre-ring sampler did every epoch.
-    const std::vector<BufferTraffic> merged = merged_buffer_traffic();
-    if (reader.snapshot_.size() < merged.size()) {
-      reader.snapshot_.resize(merged.size());
-    }
-    for (std::uint32_t index = 0; index < merged.size(); ++index) {
-      const BufferTraffic& now = merged[index];
-      const BufferTraffic& then = reader.snapshot_[index];
-      BufferTraffic delta;
-      delta.reads = now.reads - then.reads;
-      delta.writes = now.writes - then.writes;
-      delta.llc_misses = now.llc_misses - then.llc_misses;
-      delta.memory_bytes = now.memory_bytes - then.memory_bytes;
-      delta.random_accesses = now.random_accesses - then.random_accesses;
-      delta.random_misses = now.random_misses - then.random_misses;
-      const bool any = delta.reads > 0.0 || delta.writes > 0.0 ||
-                       delta.memory_bytes > 0.0;
-      if (!any) continue;
-      reader.snapshot_[index] = now;
-      fn(index, delta);
-    }
-    return;
+  if (reader.context_id_ != id_) {
+    // A reader moving here from another context starts over, as a fresh
+    // reader would: its cursor and snapshot describe that other journal.
+    reader.context_id_ = id_;
+    reader.snapshot_.clear();
+    reader.journal_cursor_ = 0;
   }
-
-  drain_telemetry();
   // Journal entries since this reader's cursor, ascending and unique: the
-  // sampler emits samples in ascending buffer order, so the sparse path
-  // must too.
+  // sampler emits samples in ascending buffer order.
   read_scratch_.assign(dirty_journal_.begin() +
                            static_cast<std::ptrdiff_t>(reader.journal_cursor_),
                        dirty_journal_.end());
   reader.journal_cursor_ = dirty_journal_.size();
+  journal_read_end_ = dirty_journal_.size();
   std::sort(read_scratch_.begin(), read_scratch_.end());
   read_scratch_.erase(std::unique(read_scratch_.begin(), read_scratch_.end()),
                       read_scratch_.end());
   for (std::uint32_t index : read_scratch_) {
+    BufferTraffic now;
+    for (const auto& ctx : contexts_) {
+      const auto& cumulative = ctx->buffer_traffic();
+      if (index < cumulative.size()) add_traffic(now, cumulative[index]);
+    }
     if (reader.snapshot_.size() <= index) reader.snapshot_.resize(index + 1);
-    const BufferTraffic& now = merged_[index];
     const BufferTraffic& then = reader.snapshot_[index];
     BufferTraffic delta;
     delta.reads = now.reads - then.reads;
@@ -430,7 +343,7 @@ void ExecutionContext::read_traffic_deltas(TelemetryReader& reader,
     delta.random_misses = now.random_misses - then.random_misses;
     const bool any = delta.reads > 0.0 || delta.writes > 0.0 ||
                      delta.memory_bytes > 0.0;
-    if (!any) continue;  // duplicate journal entry or below-threshold churn
+    if (!any) continue;  // touched with no new activity
     reader.snapshot_[index] = now;
     fn(index, delta);
   }

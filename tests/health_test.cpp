@@ -796,6 +796,8 @@ TEST(HealthConcurrency, AllocatorsRaceQuarantineTransitionsAndEvacuation) {
   for (unsigned tid = 0; tid < kWorkers; ++tid) {
     threads.emplace_back([&, tid] {
       const auto query = attr::Initiator::from_cpuset(initiator);
+      std::string label = "w";
+      label += std::to_string(tid);
       std::uint64_t last_generation = 0;
       for (unsigned i = 0; i < kIterations; ++i) {
         const std::uint64_t generation = registry.generation();
@@ -805,14 +807,14 @@ TEST(HealthConcurrency, AllocatorsRaceQuarantineTransitionsAndEvacuation) {
         auto snapshot = registry.targets_ranked_cached(attr::kCapacity, query);
         EXPECT_FALSE(snapshot->targets.empty());
 
-        alloc::AllocRequest request;
-        request.bytes = (1 + i % 8) * kMiB;
-        request.attribute =
-            i % 2 == 0 ? attr::kCapacity : attr::kBandwidth;
-        request.initiator = initiator;
-        request.label = "w" + std::to_string(tid);
-        request.admission_control = (i % 3 == 0);
-        request.attribute_rescue = true;
+        alloc::AllocRequest request{
+            .bytes = (1 + i % 8) * kMiB,
+            .attribute = i % 2 == 0 ? attr::kCapacity : attr::kBandwidth,
+            .initiator = initiator,
+            .label = label,
+            .attribute_rescue = true,
+            .admission_control = (i % 3 == 0),
+            .tenant = {}};
         auto allocation = allocator.mem_alloc(request);
         if (allocation.ok()) {
           EXPECT_TRUE(machine.node_online(allocation->node));

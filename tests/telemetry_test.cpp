@@ -1,19 +1,17 @@
-// Telemetry transport tests: SPSC ring semantics, the rings-vs-legacy-merge
-// bit-exactness contract, overflow recovery, reader independence, and the
-// batched power fold (docs/PERF.md "Telemetry rings", docs/CONCURRENCY.md).
+// Telemetry journal tests: the epoch delta stream against diffs of full
+// merges, reader independence, readers moving between contexts, and the
+// batched power fold (docs/PERF.md "Telemetry journal",
+// docs/CONCURRENCY.md).
 //
-// The load-bearing claim is exactness, not approximation: every merged
-// counter an epoch consumer sees through the rings must be bit-identical to
-// what the legacy O(threads x buffers) merge produced, or decision logs
-// would stop replaying byte-for-byte.
-#include "hetmem/simmem/telemetry.hpp"
-
+// The load-bearing claim is exactness, not approximation: every delta an
+// epoch consumer reads must be bit-identical to diffing successive full
+// O(threads x buffers) merges, or decision logs would stop replaying
+// byte-for-byte.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <bit>
 #include <cstdint>
-#include <thread>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -41,253 +39,144 @@ void expect_traffic_bitwise_equal(const BufferTraffic& a,
   EXPECT_TRUE(same_bits(a.random_misses, b.random_misses));
 }
 
-// ---------------------------------------------------------------------------
-// Ring semantics
-// ---------------------------------------------------------------------------
+using DeltaStream = std::vector<std::pair<std::uint32_t, BufferTraffic>>;
 
-TEST(TelemetryRing, PushPopIsFifoAndLossless) {
-  TelemetryRing ring(8);
-  for (std::uint32_t i = 0; i < 5; ++i) {
-    TelemetryRecord record;
-    record.buffer = i;
-    record.cumulative.reads = 1.0 + i;
-    record.cumulative.memory_bytes = 64.0 * (i + 1);
-    ASSERT_TRUE(ring.try_push(record));
+void expect_streams_bitwise_equal(const DeltaStream& a, const DeltaStream& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].first, b[i].first);
+    expect_traffic_bitwise_equal(a[i].second, b[i].second);
   }
-  EXPECT_EQ(ring.size(), 5u);
-  for (std::uint32_t i = 0; i < 5; ++i) {
-    TelemetryRecord out;
-    ASSERT_TRUE(ring.try_pop(out));
-    EXPECT_EQ(out.buffer, i);
-    EXPECT_TRUE(same_bits(out.cumulative.reads, 1.0 + i));
-    EXPECT_TRUE(same_bits(out.cumulative.memory_bytes, 64.0 * (i + 1)));
-  }
-  TelemetryRecord out;
-  EXPECT_FALSE(ring.try_pop(out));
-  EXPECT_EQ(ring.size(), 0u);
 }
 
-TEST(TelemetryRing, CapacityRoundsUpAndFullPushFails) {
-  TelemetryRing ring(5);  // rounded up to 8
-  EXPECT_EQ(ring.capacity(), 8u);
-  TelemetryRecord record;
-  for (std::uint32_t i = 0; i < 8; ++i) {
-    record.buffer = i;
-    ASSERT_TRUE(ring.try_push(record));
-  }
-  record.buffer = 99;
-  EXPECT_FALSE(ring.try_push(record));  // full: producer must back off
-  ring.note_overflow();
-  EXPECT_TRUE(ring.consume_overflow());
-  EXPECT_FALSE(ring.consume_overflow());  // returns-and-clears
-  // Popping one slot makes room again; the ring keeps working after overflow.
-  TelemetryRecord out;
-  ASSERT_TRUE(ring.try_pop(out));
-  EXPECT_EQ(out.buffer, 0u);
-  EXPECT_TRUE(ring.try_push(record));
-}
-
-TEST(TelemetryRing, PopBatchDrainsInOrderAcrossChunks) {
-  TelemetryRing ring(16);
-  for (std::uint32_t i = 0; i < 10; ++i) {
-    TelemetryRecord record;
-    record.buffer = i;
-    ASSERT_TRUE(ring.try_push(record));
-  }
-  TelemetryRecord chunk[4];
-  std::vector<std::uint32_t> seen;
-  for (std::size_t popped = ring.pop_batch(chunk, 4); popped > 0;
-       popped = ring.pop_batch(chunk, 4)) {
-    for (std::size_t i = 0; i < popped; ++i) seen.push_back(chunk[i].buffer);
-  }
-  ASSERT_EQ(seen.size(), 10u);
-  for (std::uint32_t i = 0; i < 10; ++i) EXPECT_EQ(seen[i], i);
-  EXPECT_EQ(ring.pop_batch(chunk, 4), 0u);
+/// One read of `exec` through `reader`, as a stream.
+DeltaStream read_deltas(const ExecutionContext& exec, TelemetryReader& reader) {
+  DeltaStream stream;
+  exec.read_traffic_deltas(
+      reader, [&stream](std::uint32_t buffer, const BufferTraffic& delta) {
+        stream.emplace_back(buffer, delta);
+      });
+  return stream;
 }
 
 // ---------------------------------------------------------------------------
-// Concurrency (picked up by the CI TSan stress lane)
-// ---------------------------------------------------------------------------
-
-TEST(TelemetryConcurrency, DrainRacesProducer) {
-  // One producer hammers the ring while the consumer drains concurrently —
-  // the acquire/release head/tail protocol must hand every record over
-  // exactly once, in order, with no torn payloads. This is the ring's
-  // advertised guarantee (docs/CONCURRENCY.md) and the TSan lane's prey.
-  constexpr std::uint64_t kRecords = 200000;
-  TelemetryRing ring(64);
-  std::thread producer([&ring] {
-    for (std::uint64_t i = 0; i < kRecords; ++i) {
-      TelemetryRecord record;
-      record.buffer = static_cast<std::uint32_t>(i % 7);
-      record.cumulative.reads = static_cast<double>(i + 1);
-      record.cumulative.memory_bytes = 64.0 * static_cast<double>(i + 1);
-      while (!ring.try_push(record)) std::this_thread::yield();
-    }
-  });
-
-  TelemetryRecord chunk[32];
-  std::uint64_t received = 0;
-  while (received < kRecords) {
-    const std::size_t popped = ring.pop_batch(chunk, 32);
-    if (popped == 0) {
-      std::this_thread::yield();
-      continue;
-    }
-    for (std::size_t i = 0; i < popped; ++i) {
-      // Records arrive in push order with fully-visible payloads: the i-th
-      // record ever received carries reads == i+1 and a matching byte count.
-      ++received;
-      ASSERT_TRUE(same_bits(chunk[i].cumulative.reads,
-                            static_cast<double>(received)));
-      ASSERT_TRUE(same_bits(chunk[i].cumulative.memory_bytes,
-                            64.0 * static_cast<double>(received)));
-      ASSERT_EQ(chunk[i].buffer, (received - 1) % 7);
-    }
-  }
-  producer.join();
-  EXPECT_EQ(received, kRecords);
-  EXPECT_EQ(ring.pop_batch(chunk, 32), 0u);
-}
-
-TEST(SharedTrafficConcurrency, ContendedRecordsSumExactly) {
-  // The shared-atomic baseline must at least be *correct* under contention
-  // (it is the strawman bench/ablation_overhead measures against): adding
-  // 1.0 is exact in double arithmetic at these magnitudes, so the CAS loops
-  // must land every single add.
-  constexpr unsigned kThreads = 4;
-  constexpr unsigned kAdds = 20000;
-  SharedTrafficTable table(2);
-  std::vector<std::thread> workers;
-  for (unsigned t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&table] {
-      BufferTraffic delta;
-      delta.reads = 1.0;
-      delta.memory_bytes = 64.0;
-      for (unsigned i = 0; i < kAdds; ++i) table.record(i % 2, delta);
-    });
-  }
-  for (std::thread& worker : workers) worker.join();
-  const double per_buffer = kThreads * (kAdds / 2.0);
-  EXPECT_TRUE(same_bits(table.read(0).reads, per_buffer));
-  EXPECT_TRUE(same_bits(table.read(1).reads, per_buffer));
-  EXPECT_TRUE(same_bits(table.read(0).memory_bytes, 64.0 * per_buffer));
-}
-
-// ---------------------------------------------------------------------------
-// Rings vs legacy merge: the bit-exactness contract
+// Delta stream vs diffs of full merges: the bit-exactness contract
 // ---------------------------------------------------------------------------
 
 constexpr unsigned kThreads = 4;
 
-/// Mixed multi-buffer workload; thread t touches a rotating window of
-/// buffers with thread- and phase-dependent traffic so the merged counters
-/// exercise genuine multi-thread summation, not a single writer.
-struct ModeRun {
-  std::vector<BufferTraffic> merged;
-  std::vector<std::pair<std::uint32_t, BufferTraffic>> deltas;
-};
-
-ModeRun run_mode(TelemetryMode mode, unsigned read_every) {
-  SimMachine machine(topo::xeon_clx_1lm());
-  std::vector<BufferId> buffers;
-  for (unsigned i = 0; i < 8; ++i) {
-    auto buffer = machine.allocate(16 * kMiB, 0, "buf" + std::to_string(i),
-                                   4096);
-    EXPECT_TRUE(buffer.ok());
-    buffers.push_back(*buffer);
-  }
-  ExecutionContext exec(machine, machine.topology().numa_node(0)->cpuset(),
-                        kThreads);
-  exec.set_telemetry_mode(mode);
-  TelemetryReader reader;
-  ModeRun run;
-  for (unsigned phase = 0; phase < 9; ++phase) {
-    exec.run_phase(
-        "mix", kThreads,
-        [&](ThreadCtx& ctx, unsigned thread, std::size_t begin,
-            std::size_t end) {
-          if (begin >= end) return;
-          for (unsigned k = 0; k < 3; ++k) {
-            const BufferId id = buffers[(thread + k + phase) % buffers.size()];
-            ctx.record_seq_read(0, id, (1.0 + thread) * (1u << k) * 4096.0,
-                                1.0);
-            if (k == 0) {
-              ctx.record_seq_write(0, id, 1024.0 * (phase + 1), 1.0);
-              ctx.record_rand_read(0, id, 100.0 * (thread + 1), 0.25);
-            }
-          }
-        });
-    if ((phase + 1) % read_every == 0) {
-      exec.read_traffic_deltas(
-          reader, [&run](std::uint32_t buffer, const BufferTraffic& delta) {
-            run.deltas.emplace_back(buffer, delta);
-          });
+/// The reference stream: diff a full merged_buffer_traffic() against the
+/// counters last emitted per buffer, over the whole buffer range, with the
+/// sampler's inclusion rule.
+void append_merge_diff(const ExecutionContext& exec,
+                       std::vector<BufferTraffic>& emitted, DeltaStream& out) {
+  const std::vector<BufferTraffic> merged = exec.merged_buffer_traffic();
+  if (emitted.size() < merged.size()) emitted.resize(merged.size());
+  for (std::uint32_t b = 0; b < merged.size(); ++b) {
+    BufferTraffic delta;
+    delta.reads = merged[b].reads - emitted[b].reads;
+    delta.writes = merged[b].writes - emitted[b].writes;
+    delta.llc_misses = merged[b].llc_misses - emitted[b].llc_misses;
+    delta.memory_bytes = merged[b].memory_bytes - emitted[b].memory_bytes;
+    delta.random_accesses =
+        merged[b].random_accesses - emitted[b].random_accesses;
+    delta.random_misses = merged[b].random_misses - emitted[b].random_misses;
+    if (!(delta.reads > 0.0 || delta.writes > 0.0 ||
+          delta.memory_bytes > 0.0)) {
+      continue;
     }
+    emitted[b] = merged[b];
+    out.emplace_back(b, delta);
   }
-  run.merged = exec.merged_buffer_traffic();
-  return run;
 }
 
+/// Runs `phases` phases through `run_phase` and, after every `read_every`-th
+/// one, reads the journal stream and the merge-diff stream.
+std::pair<DeltaStream, DeltaStream> read_both_streams(
+    const ExecutionContext& exec, unsigned phases, unsigned read_every,
+    const std::function<void(unsigned)>& run_phase) {
+  std::pair<DeltaStream, DeltaStream> streams;
+  TelemetryReader reader;
+  std::vector<BufferTraffic> emitted;
+  for (unsigned phase = 0; phase < phases; ++phase) {
+    run_phase(phase);
+    if ((phase + 1) % read_every != 0) continue;
+    const DeltaStream read = read_deltas(exec, reader);
+    streams.first.insert(streams.first.end(), read.begin(), read.end());
+    append_merge_diff(exec, emitted, streams.second);
+  }
+  return streams;
+}
+
+// The next two tests keep their names from the ring transport: the "rings"
+// side is now the journal's delta stream, the "legacy merge" side the diff
+// of successive full merges, and the "overflow" input the one-thread phase
+// that once overflowed a 1,024-entry ring.
+
 TEST(TelemetryModes, RingsMatchLegacyMergeBitwise) {
+  // Mixed multi-buffer workload: thread t touches a rotating window of
+  // buffers with thread- and phase-dependent traffic, so each delta sums
+  // several threads' counters, read every phase and every third phase.
   for (unsigned read_every : {1u, 3u}) {
-    const ModeRun rings = run_mode(TelemetryMode::kRings, read_every);
-    const ModeRun legacy = run_mode(TelemetryMode::kLegacyMerge, read_every);
-    ASSERT_EQ(rings.merged.size(), legacy.merged.size());
-    for (std::size_t b = 0; b < rings.merged.size(); ++b) {
-      expect_traffic_bitwise_equal(rings.merged[b], legacy.merged[b]);
+    SCOPED_TRACE(read_every);
+    SimMachine machine(topo::xeon_clx_1lm());
+    std::vector<BufferId> buffers;
+    for (unsigned i = 0; i < 8; ++i) {
+      auto buffer = machine.allocate(16 * kMiB, 0, "mix", 4096);
+      ASSERT_TRUE(buffer.ok());
+      buffers.push_back(*buffer);
     }
-    // The epoch-boundary delta stream — what samplers and recorders actually
-    // consume — must also be identical: same buffers, same order, same bits.
-    ASSERT_EQ(rings.deltas.size(), legacy.deltas.size())
-        << "read_every " << read_every;
-    for (std::size_t i = 0; i < rings.deltas.size(); ++i) {
-      EXPECT_EQ(rings.deltas[i].first, legacy.deltas[i].first);
-      expect_traffic_bitwise_equal(rings.deltas[i].second,
-                                   legacy.deltas[i].second);
-    }
-    EXPECT_FALSE(rings.deltas.empty());
+    ExecutionContext exec(machine, machine.topology().numa_node(0)->cpuset(),
+                          kThreads);
+    const auto [journal, merge_diff] = read_both_streams(
+        exec, 9, read_every, [&](unsigned phase) {
+          exec.run_phase(
+              "mix", kThreads,
+              [&](ThreadCtx& ctx, unsigned thread, std::size_t begin,
+                  std::size_t end) {
+                if (begin >= end) return;
+                for (unsigned k = 0; k < 3; ++k) {
+                  const BufferId id =
+                      buffers[(thread + k + phase) % buffers.size()];
+                  ctx.record_seq_read(0, id,
+                                      (1.0 + thread) * (1u << k) * 4096.0, 1.0);
+                  if (k == 0) {
+                    ctx.record_seq_write(0, id, 1024.0 * (phase + 1), 1.0);
+                    ctx.record_rand_read(0, id, 100.0 * (thread + 1), 0.25);
+                  }
+                }
+              });
+        });
+    expect_streams_bitwise_equal(journal, merge_diff);
+    EXPECT_FALSE(journal.empty());
   }
 }
 
 TEST(TelemetryModes, OverflowFallbackLosesNothing) {
-  // A single thread touching more buffers than its ring holds (capacity
-  // 1024) forces the overflow path: the producer stops publishing and the
-  // drain reads the thread's cumulative counters directly. The result must
-  // still be bit-identical to the legacy merge — overflow degrades cost,
-  // never correctness.
-  auto run = [](TelemetryMode mode) {
-    SimMachine machine(topo::xeon_clx_1lm());
-    std::vector<BufferId> buffers;
-    for (unsigned i = 0; i < 1500; ++i) {
-      auto buffer = machine.allocate(64 * 1024, 0, "o" + std::to_string(i),
-                                     4096);
-      EXPECT_TRUE(buffer.ok());
-      buffers.push_back(*buffer);
-    }
-    ExecutionContext exec(machine, machine.topology().numa_node(0)->cpuset(),
-                          1);
-    exec.set_telemetry_mode(mode);
-    exec.run_phase("flood", 1,
-                   [&](ThreadCtx& ctx, unsigned, std::size_t begin,
-                       std::size_t end) {
-                     if (begin >= end) return;
-                     for (std::size_t i = 0; i < buffers.size(); ++i) {
-                       ctx.record_seq_read(0, buffers[i],
-                                           4096.0 * (1.0 + (i % 5)), 1.0);
-                     }
-                   });
-    return exec.merged_buffer_traffic();
-  };
-  const auto rings = run(TelemetryMode::kRings);
-  const auto legacy = run(TelemetryMode::kLegacyMerge);
-  ASSERT_EQ(rings.size(), legacy.size());
-  std::size_t nonzero = 0;
-  for (std::size_t b = 0; b < rings.size(); ++b) {
-    expect_traffic_bitwise_equal(rings[b], legacy[b]);
-    if (rings[b].reads > 0.0) ++nonzero;
+  // One thread touching 1,500 buffers in a single phase: the whole population
+  // is journaled and read at once, and no buffer is dropped.
+  SimMachine machine(topo::xeon_clx_1lm());
+  std::vector<BufferId> buffers;
+  for (unsigned i = 0; i < 1500; ++i) {
+    auto buffer = machine.allocate(64 * 1024, 0, "flood", 4096);
+    ASSERT_TRUE(buffer.ok());
+    buffers.push_back(*buffer);
   }
-  EXPECT_GE(nonzero, 1500u);  // nothing was dropped on overflow
+  ExecutionContext exec(machine, machine.topology().numa_node(0)->cpuset(), 1);
+  const auto [journal, merge_diff] =
+      read_both_streams(exec, 1, 1, [&](unsigned) {
+        exec.run_phase("flood", 1,
+                       [&](ThreadCtx& ctx, unsigned, std::size_t begin,
+                           std::size_t end) {
+                         if (begin >= end) return;
+                         for (std::size_t i = 0; i < buffers.size(); ++i) {
+                           ctx.record_seq_read(0, buffers[i],
+                                               4096.0 * (1.0 + (i % 5)), 1.0);
+                         }
+                       });
+      });
+  expect_streams_bitwise_equal(journal, merge_diff);
+  EXPECT_EQ(journal.size(), 1500u);
 }
 
 TEST(TelemetryReaders, IndependentCadencesSeeTheSameTotals) {
@@ -323,6 +212,56 @@ TEST(TelemetryReaders, IndependentCadencesSeeTheSameTotals) {
   EXPECT_TRUE(same_bits(lump_total, merged[buffer->index].memory_bytes));
   EXPECT_GT(frequent_total, 0.0);
   EXPECT_NEAR(frequent_total, lump_total, lump_total * 1e-12);
+}
+
+TEST(TelemetryReaders, MovingToAnotherContextStartsOver) {
+  // One reader reads context A, then B, then A again. Each move must read
+  // what a fresh reader reads there: the context's full cumulative traffic.
+  // A's journal is longer than B's after ten reads of four buffers and
+  // shorter after one read of one buffer, so a cursor carried over from A
+  // would run past B's journal or skip B's first entries.
+  for (const auto& [phases_on_a, buffers_on_a] :
+       {std::pair{10u, 4u}, std::pair{1u, 1u}}) {
+    SCOPED_TRACE(phases_on_a);
+    SimMachine machine(topo::xeon_clx_1lm());
+    std::vector<BufferId> buffers;
+    for (unsigned i = 0; i < 4; ++i) {
+      auto buffer = machine.allocate(16 * kMiB, 0, "moved", 4096);
+      ASSERT_TRUE(buffer.ok());
+      buffers.push_back(*buffer);
+    }
+    const support::Bitmap cpuset = machine.topology().numa_node(0)->cpuset();
+    ExecutionContext a(machine, cpuset, kThreads);
+    ExecutionContext b(machine, cpuset, kThreads);
+    auto run_phase = [&](ExecutionContext& exec, unsigned touched,
+                         double bytes) {
+      exec.run_phase("p", kThreads,
+                     [&](ThreadCtx& ctx, unsigned thread, std::size_t begin,
+                         std::size_t end) {
+                       if (begin >= end) return;
+                       for (unsigned i = 0; i < touched; ++i) {
+                         ctx.record_seq_read(0, buffers[i],
+                                             bytes * (1.0 + thread + i), 1.0);
+                       }
+                     });
+    };
+
+    TelemetryReader moved;
+    for (unsigned phase = 0; phase < phases_on_a; ++phase) {
+      run_phase(a, buffers_on_a, 4096.0 * (phase + 1));
+      EXPECT_FALSE(read_deltas(a, moved).empty());
+    }
+    run_phase(b, 4, 1024.0);
+    TelemetryReader fresh_b;
+    const DeltaStream expected_b = read_deltas(b, fresh_b);
+    EXPECT_EQ(expected_b.size(), 4u);
+    expect_streams_bitwise_equal(read_deltas(b, moved), expected_b);
+
+    TelemetryReader fresh_a;
+    const DeltaStream expected_a = read_deltas(a, fresh_a);
+    EXPECT_EQ(expected_a.size(), buffers_on_a);
+    expect_streams_bitwise_equal(read_deltas(a, moved), expected_a);
+  }
 }
 
 // ---------------------------------------------------------------------------
