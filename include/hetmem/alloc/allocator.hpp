@@ -14,7 +14,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -362,10 +361,12 @@ class HeterogeneousAllocator {
     unsigned spill_skipped = 0;  // nodes skipped by the spill pass
   };
 
-  /// Charge bookkeeping for one live tenanted buffer (keyed by buffer index
-  /// in tenant_charges_; indices are never reused, so a stale key cannot
-  /// alias a new buffer).
+  /// Charge bookkeeping for one live tenanted buffer, kept in
+  /// tenant_charges_ at its slot index and stamped with its generation, so a
+  /// stale handle never matches the charge of the buffer that reused its
+  /// slot. A null tenant marks an empty entry.
   struct TenantCharge {
+    std::uint32_t generation = 0;
     tenant::TenantHandle tenant;
     topo::MemoryKind tier = topo::MemoryKind::kDRAM;
     std::uint64_t bytes = 0;
@@ -391,12 +392,16 @@ class HeterogeneousAllocator {
   [[nodiscard]] static support::Error backpressure_error(
       const AllocRequest& request, std::string message, std::uint64_t hint_ms);
 
-  /// Records/erases/moves tenant charge-map entries (mutex-guarded; the
-  /// count gate keeps untenanted hot paths lock-free).
+  /// Records/takes/moves tenant charge-table entries (mutex-guarded; the
+  /// count gate keeps untenanted hot paths lock-free). take_tenant_charge
+  /// empties `buffer`'s entry and returns what it held (a null tenant when
+  /// it held no charge of that generation).
   void record_tenant_charge(sim::BufferId buffer, tenant::TenantHandle tenant,
                             topo::MemoryKind tier, std::uint64_t bytes);
-  void release_tenant_charge(sim::BufferId buffer);
+  TenantCharge take_tenant_charge(sim::BufferId buffer);
   void move_tenant_charge(sim::BufferId buffer, unsigned destination_node);
+  /// Whether tenant_charges_ holds `buffer`'s charge (tenant_mutex_ held).
+  [[nodiscard]] bool holds_charge(sim::BufferId buffer) const;
 
   /// machine_->allocate with bounded kTransient retry (retry_policy()).
   support::Result<sim::BufferId> allocate_with_retry(const AllocRequest& request,
@@ -436,10 +441,12 @@ class HeterogeneousAllocator {
   // --- tenancy state ---
   const tenant::TenantRegistry* tenant_registry_ = nullptr;
   std::vector<topo::MemoryKind> node_kinds_;  // by logical index
-  /// Live tenanted buffers only; erased on free, re-tiered on migrate. The
-  /// atomic count lets untenanted mem_free/migrate skip the lock entirely.
+  /// Charges of live tenanted buffers, by slot index: emptied on free,
+  /// re-tiered on migrate, so it grows with the machine's slot table, not
+  /// with every buffer ever charged. The atomic count of non-empty entries
+  /// lets untenanted mem_free/migrate skip the lock entirely.
   mutable std::mutex tenant_mutex_;
-  std::unordered_map<std::uint32_t, TenantCharge> tenant_charges_;
+  std::vector<TenantCharge> tenant_charges_;
   std::atomic<std::size_t> tenant_charge_count_{0};
 };
 

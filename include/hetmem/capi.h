@@ -129,7 +129,9 @@ int hetmem_memattr_set_value(hetmem_context* ctx, int attr, unsigned node,
 /* --- the heterogeneous allocator ----------------------------------------- */
 
 /* mem_alloc(bytes, attribute): returns a non-negative buffer handle or a
- * negative error. `policy` is a HETMEM_POLICY_* value. */
+ * negative error. `policy` is a HETMEM_POLICY_* value. A handle names one
+ * buffer: the library reuses a freed buffer's slot, but the new buffer gets
+ * a new handle, and free, node and migrate refuse the old one. */
 int64_t hetmem_alloc(hetmem_context* ctx, uint64_t bytes, int attr,
                      const char* initiator, int policy, const char* label);
 
@@ -222,7 +224,7 @@ enum {
 
 /* Serializes the context's full mutable state (placements, tenant charges,
  * allocator statistics, telemetry, supervisor state) to `path` in the
- * versioned hetmem-snap/1 text format. The write is atomic: the snapshot is
+ * versioned hetmem-snap/2 text format. The write is atomic: the snapshot is
  * staged at `path`.tmp and renamed, so a crash mid-save leaves any previous
  * snapshot intact. Returns HETMEM_SUCCESS or a negative error. */
 int hetmem_snapshot_save(const hetmem_context* ctx, const char* path);

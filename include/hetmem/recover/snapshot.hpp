@@ -11,7 +11,7 @@
 // power governor's escalation streaks, every fault-injection site's RNG
 // stream, and the supervisor's breaker/watchdog state.
 //
-// Text format `hetmem-snap/1`: line-oriented, tagged records written and
+// Text format `hetmem-snap/2`: line-oriented, tagged records written and
 // read through support/line_codec.hpp, the codec src/trace also uses
 // (hexfloat doubles, range-checked integers, bools and enums). Each
 // record's fields are listed once, in a field-list function that
@@ -21,18 +21,24 @@
 // sentinel; parse() verifies both, and restore() only ever runs against a
 // fully parsed, checksum-clean Snapshot — a truncated or bit-flipped file
 // is rejected with a line diagnostic and mutates NOTHING (the
-// never-partial-restore contract).
+// never-partial-restore contract). parse() also reads `hetmem-snap/1`
+// text, which listed every slot ever allocated with a freed flag and had no
+// generations: its live buffers read as generation 0 and its freed slots
+// become the free list in ascending index order (docs/RECOVERY.md).
 //
 // save_atomic() writes to `<path>.tmp` then renames, so a crash mid-save
 // leaves the previous snapshot intact (crash consistency).
 //
 // Two restore modes, selected by the target machine's buffer table:
-//   - rebuild-from-empty: a fresh machine re-allocates every recorded slot
-//     in ascending index order (freed slots become allocate-then-free
-//     tombstones) so BufferIds line up exactly — the C API lifecycle path;
+//   - rebuild-from-empty: a machine with no live buffer takes the recorded
+//     table whole (SimMachine::restore_buffer_table): each live buffer at
+//     its exact slot and generation, the free list in its reuse order, so
+//     every BufferId, and every id later allocations get, line up — the C
+//     API lifecycle path;
 //   - re-place: a machine already populated with identically-prepared
-//     buffers has each live buffer migrated to its recorded node — the
-//     bench/daemon-crash path, where the application outlives the policy.
+//     buffers (same ids, labels and free list) has each live buffer
+//     migrated to its recorded node — the bench/daemon-crash path, where
+//     the application outlives the policy.
 #pragma once
 
 #include <cstdint>
@@ -65,20 +71,24 @@ struct Snapshot {
   std::vector<sim::NodeTelemetry> node_telemetry;  // per node
   std::vector<sim::SimMachine::NodePowerState> node_power;
 
-  // --- buffers (ascending index; covers every slot ever allocated) ---
+  // --- buffers: the live ones, ascending index, and the free list ---
   struct BufferRecord {
     std::uint32_t index = 0;
+    std::uint32_t generation = 0;
     unsigned node = 0;
     std::uint64_t declared_bytes = 0;
     std::uint64_t backing_bytes = 0;
-    bool freed = false;
     /// Owning tenant id (kNoTenant for untenanted). The charge equals
     /// declared_bytes — exactly what admission charged.
     std::uint32_t tenant_id = 0;
     std::string label;
+    [[nodiscard]] sim::BufferId id() const { return {index, generation}; }
   };
-  std::uint64_t buffers_total = 0;  // next-slot count (index watermark)
+  std::uint64_t buffers_total = 0;  // slot watermark (total_buffer_count())
   std::vector<BufferRecord> buffers;
+  /// Freed slots in reuse order, each under its freed buffer's id; a slot
+  /// below the watermark that is neither live nor free is retired.
+  std::vector<sim::BufferId> free_slots;
 
   // --- tenants ---
   struct TenantRecord {

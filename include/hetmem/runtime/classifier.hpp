@@ -11,6 +11,7 @@
 // `hysteresis_epochs` consecutive epochs.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "hetmem/prof/classify.hpp"
@@ -46,6 +47,9 @@ class OnlineClassifier {
   std::vector<Reclassification> observe(const Epoch& epoch);
 
   struct BufferState {
+    /// Generation of the buffer this state belongs to: a sample for a
+    /// newer buffer on the same slot starts the state over.
+    std::uint32_t generation = 0;
     bool tracked = false;
     /// EMA of per-epoch traffic. Decays toward zero on epochs where the
     /// buffer was idle, so cold buffers drift to kInsensitive (and become
@@ -58,9 +62,14 @@ class OnlineClassifier {
   };
 
   /// Indexed by buffer index; entries for never-seen buffers are untracked.
+  /// An entry describes the buffer of its own generation, which may be a
+  /// dead buffer whose slot no sample has reused yet.
   [[nodiscard]] const std::vector<BufferState>& states() const {
     return states_;
   }
+  /// `buffer`'s tracked state; nullptr when untracked or when the slot's
+  /// state belongs to another generation.
+  [[nodiscard]] const BufferState* state_of(sim::BufferId buffer) const;
   /// Committed verdict (kInsensitive for untracked buffers).
   [[nodiscard]] prof::Sensitivity committed(sim::BufferId buffer) const;
   [[nodiscard]] bool tracked(sim::BufferId buffer) const;

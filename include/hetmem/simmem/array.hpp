@@ -65,11 +65,13 @@ class Array {
 
   /// Re-reads the buffer's node and declared size (call after migration).
   void refresh_model() {
-    const BufferInfo& info = machine_->info(buffer_);
-    node_ = info.node;
+    const BufferResidency residency = machine_->residency(buffer_);
+    node_ = residency.node;
     const std::uint64_t llc = machine_->llc_bytes();
-    rand_miss_rate_ = CacheModel::random_miss_rate(info.declared_bytes, llc);
-    stream_fraction_ = CacheModel::stream_memory_fraction(info.declared_bytes, llc);
+    rand_miss_rate_ =
+        CacheModel::random_miss_rate(residency.declared_bytes, llc);
+    stream_fraction_ =
+        CacheModel::stream_memory_fraction(residency.declared_bytes, llc);
   }
 
   // --- element access with traffic recording ---

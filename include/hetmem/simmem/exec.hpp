@@ -91,7 +91,8 @@ void resolve_phase_into(const SimMachine& machine,
 /// recorder, ...) owns one, so independent epoch cadences never share diff
 /// state. A fresh reader, or one that last read another context, starts at
 /// the beginning of the journal with a zero snapshot and so observes the
-/// full cumulative traffic as its first delta.
+/// full cumulative traffic as its first delta; so does a buffer on a
+/// recycled slot, whose generation differs from the one the snapshot holds.
 class TelemetryReader {
  public:
   TelemetryReader() = default;
@@ -100,6 +101,7 @@ class TelemetryReader {
   friend class ExecutionContext;
   std::uint64_t context_id_ = 0;  // no context has id 0
   std::vector<BufferTraffic> snapshot_;
+  std::vector<std::uint32_t> generations_;  // snapshot_'s, per slot
   std::size_t journal_cursor_ = 0;
 };
 
@@ -159,19 +161,23 @@ class ExecutionContext {
   }
 
   /// Cumulative per-buffer traffic merged across all workers (for prof::
-  /// and alloc::advise_migrations): every thread's counters summed in
-  /// ascending thread order, O(threads x buffers) per call.
+  /// and alloc::advise_migrations), indexed by slot: for each slot, the
+  /// counters of the newest generation any thread recorded there, summed in
+  /// ascending thread order; O(threads x buffers) per call.
   [[nodiscard]] std::vector<BufferTraffic> merged_buffer_traffic() const;
+  /// The buffer merged_buffer_traffic()[index] counts: the newest
+  /// generation any thread recorded at slot `index`.
+  [[nodiscard]] BufferId traffic_buffer(std::uint32_t index) const;
 
   /// Streams the cumulative-traffic deltas since `reader` last read, in
-  /// ascending buffer-index order, to `fn(buffer_index, delta)` — the
+  /// ascending buffer-index order, to `fn(buffer, delta)` — the
   /// epoch-boundary consumer API (EpochSampler, TraceRecorder). Only
   /// buffers journaled since the reader's last read are visited, and only
   /// those with activity are emitted (inclusion rule: reads > 0 || writes >
   /// 0 || memory_bytes > 0, the same rule the sampler applies, so replay
   /// RNG streams stay aligned). Each consumer owns its reader; cadences are
   /// independent. Main-thread only (same thread that runs phases).
-  using DeltaFn = std::function<void(std::uint32_t, const BufferTraffic&)>;
+  using DeltaFn = std::function<void(BufferId, const BufferTraffic&)>;
   void read_traffic_deltas(TelemetryReader& reader, const DeltaFn& fn) const;
 
  private:
@@ -186,8 +192,8 @@ class ExecutionContext {
   std::vector<PhaseResult> history_;
   PhaseObserver phase_observer_;
 
-  /// Append-only ids of the buffers phases touched, one entry per buffer
-  /// per read interval; TelemetryReaders cursor into this. run_phase
+  /// Append-only slot indices of the buffers phases touched, one entry per
+  /// slot per read interval; TelemetryReaders cursor into this. run_phase
   /// appends after the pool join, reads run on the same thread, so this
   /// state needs no synchronization.
   std::vector<std::uint32_t> dirty_journal_;

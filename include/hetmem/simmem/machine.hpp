@@ -14,9 +14,16 @@
 // different nodes never touch shared state and concurrent allocators on the
 // same node contend only on one cache line. The buffer table is a chunked
 // slot store: slots live at stable addresses for the machine's lifetime
-// (readers are lock-free; a short mutex guards only chunk creation), and
-// each slot carries its own lifecycle mutex so free()/migrate() races are
-// serialized per buffer. info() returns a snapshot by value.
+// (a short mutex guards only chunk creation), and each slot carries its own
+// lifecycle mutex so free()/migrate() races and slot reuse are serialized
+// per buffer. A freed slot goes on a LIFO free list and the next allocation
+// reuses it under the next generation, so the table grows with the peak
+// number of live buffers, not with every buffer ever allocated. Every
+// lookup compares the handle's generation with the slot's and refuses a
+// stale handle; the lock-free readers (residency(), backing(),
+// live_buffers_on()) re-check the generation after reading, so a stale
+// reader never returns a slot that is being re-initialized. info() copies
+// the label under the lifecycle mutex and returns a snapshot by value.
 #pragma once
 
 #include <atomic>
@@ -38,11 +45,24 @@ class FaultInjector;
 
 namespace hetmem::sim {
 
-/// Dense handle; indices are never reused within a SimMachine lifetime.
+/// Handle to one buffer: its slot in the machine's buffer table and the
+/// slot's generation when the buffer was allocated. A freed slot is reused
+/// under the next generation, so a handle to a dead buffer never names the
+/// buffer that replaced it.
 struct BufferId {
   std::uint32_t index = UINT32_MAX;
+  std::uint32_t generation = 0;
   [[nodiscard]] bool valid() const { return index != UINT32_MAX; }
-  friend bool operator==(BufferId a, BufferId b) { return a.index == b.index; }
+  /// generation << 32 | index: the C API's handle and the trace's buffer
+  /// field. A first-generation buffer packs to its bare index.
+  [[nodiscard]] std::uint64_t packed() const {
+    return std::uint64_t{generation} << 32 | index;
+  }
+  [[nodiscard]] static BufferId unpack(std::uint64_t packed) {
+    return BufferId{static_cast<std::uint32_t>(packed),
+                    static_cast<std::uint32_t>(packed >> 32)};
+  }
+  friend bool operator==(BufferId a, BufferId b) = default;
 };
 
 struct BufferInfo {
@@ -109,7 +129,9 @@ class SimMachine {
                                      std::size_t backing_bytes = 0);
 
   /// Thread-safe; a double free (including one racing another free of the
-  /// same buffer) fails for every caller but the first.
+  /// same buffer) fails for every caller but the first. The slot goes on
+  /// the free list, unless its generation reached kMaxGeneration: then it
+  /// is retired, so a generation never wraps.
   support::Status free(BufferId id);
 
   /// Moves a buffer to another node: capacity is released/charged and the
@@ -120,22 +142,23 @@ class SimMachine {
   support::Status migrate(BufferId id, unsigned destination_node);
 
   /// Metadata snapshot (by value — the buffer may be concurrently migrated
-  /// or freed; the snapshot is internally consistent). An invalid or
-  /// out-of-range id returns a sentinel (label "<invalid-buffer>",
-  /// freed=true) instead of crashing — use info_checked() when the caller
-  /// wants the error.
+  /// or freed; the snapshot is internally consistent). A freed buffer whose
+  /// slot is not reused yet reads with its label and freed=true. An invalid,
+  /// out-of-range or stale id (its slot now holds a newer generation)
+  /// returns a sentinel (label "<invalid-buffer>", freed=true) instead of
+  /// crashing — use info_checked() when the caller wants the error.
   [[nodiscard]] BufferInfo info(BufferId id) const;
   [[nodiscard]] support::Result<BufferInfo> info_checked(BufferId id) const;
-  /// info()'s node, declared size and freed flag, allocation-free (the
-  /// per-phase resolver reads it for every touched buffer). An invalid id
-  /// reads as freed.
+  /// info()'s node, declared size and freed flag, lock- and allocation-free
+  /// (the per-phase resolver reads it for every touched buffer). An
+  /// invalid or stale id reads as freed.
   [[nodiscard]] BufferResidency residency(BufferId id) const;
 
-  /// Backing storage; nullptr for invalid ids and freed buffers (survives
-  /// release builds — callers must handle it, sim::Array does). The pointer
-  /// stays valid until the buffer is freed; freeing a buffer while another
-  /// thread dereferences its backing is an application-level race, exactly
-  /// as with the system allocator.
+  /// Backing storage; nullptr for invalid or stale ids and freed buffers
+  /// (survives release builds — callers must handle it, sim::Array does).
+  /// The pointer stays valid until the buffer is freed; freeing a buffer
+  /// while another thread dereferences its backing is an application-level
+  /// race, exactly as with the system allocator.
   [[nodiscard]] std::byte* backing(BufferId id);
   [[nodiscard]] const std::byte* backing(BufferId id) const;
 
@@ -223,6 +246,11 @@ class SimMachine {
   /// The same snapshot into `out` (cleared first), reusing its capacity: a
   /// caller that keeps `out` across calls allocates nothing once warm.
   void live_buffers_on(unsigned node, std::vector<BufferId>& out) const;
+  /// Every live buffer on any node, ascending buffer index.
+  [[nodiscard]] std::vector<BufferId> live_buffers() const;
+  /// The freed slots the next allocations will reuse, in reuse order (the
+  /// next allocation takes the first), each under its freed buffer's id.
+  [[nodiscard]] std::vector<BufferId> free_slots() const;
 
   /// Optional chaos hook consulted on every allocate():
   ///  - fault::site::kMachineAllocTransient -> kTransient failure,
@@ -252,6 +280,27 @@ class SimMachine {
   [[nodiscard]] NodePowerState node_power_state(unsigned node) const;
   void restore_node_power_state(unsigned node, const NodePowerState& state);
 
+  /// One live buffer of a restored buffer table.
+  struct RestoredBuffer {
+    BufferId id;
+    unsigned node = 0;
+    std::uint64_t declared_bytes = 0;
+    std::size_t backing_bytes = 0;
+    std::string label;
+  };
+  /// Rebuilds the buffer table from a snapshot. Restore-time only, on a
+  /// machine with no live buffer: `slot_count` becomes the slot watermark
+  /// (it may not shrink), `live` buffers are placed at their exact ids with
+  /// their capacity charged, `free_slots` becomes the free list (reuse
+  /// order, as free_slots() returns it), and every other slot below the
+  /// watermark is retired (a slot never named costs no memory). Each slot
+  /// may be named once; on a refusal the table is untouched, but a
+  /// capacity failure part-way leaves it partly rebuilt (restore failures
+  /// are fatal to the caller).
+  support::Status restore_buffer_table(std::uint32_t slot_count,
+                                       const std::vector<RestoredBuffer>& live,
+                                       const std::vector<BufferId>& free_slots);
+
   /// True when the constructor received a perf model whose node count did
   /// not match the topology and self-healed by recalibrating.
   [[nodiscard]] bool model_repaired() const { return model_repaired_; }
@@ -260,9 +309,15 @@ class SimMachine {
   [[nodiscard]] std::size_t live_buffer_count() const {
     return live_count_.load(std::memory_order_relaxed);
   }
+  /// Slots the buffer table has ever claimed: the peak number of live
+  /// buffers, plus any retired slots.
   [[nodiscard]] std::size_t total_buffer_count() const {
     return next_slot_.load(std::memory_order_acquire);
   }
+
+  /// A slot freed at this generation is retired instead of reused, so
+  /// generations never wrap and a packed id stays a non-negative int64_t.
+  static constexpr std::uint32_t kMaxGeneration = 0x7fffffff;
 
   /// Shared per-socket last-level cache the analytic miss model divides
   /// among resident buffers. Defaults to 27.5 MiB (CLX die) and is
@@ -279,27 +334,52 @@ class SimMachine {
   // release stores into a fixed table so readers never see a moving array.
   static constexpr std::size_t kSlotChunkShift = 10;
   static constexpr std::size_t kSlotsPerChunk = std::size_t{1} << kSlotChunkShift;
-  static constexpr std::size_t kMaxChunks = std::size_t{1} << 15;  // 32M buffers
+  static constexpr std::size_t kMaxChunks = std::size_t{1} << 15;  // 32M slots
 
   enum class SlotState : std::uint8_t { kUnpublished = 0, kLive = 1, kFreed = 2 };
 
   struct Slot {
-    // Serializes free vs migrate of this buffer (never held during another
-    // slot's operation — no lock ordering issues).
+    // Serializes free, migrate and reuse of this slot, and guards `label`
+    // and `storage` (never held during another slot's operation — no lock
+    // ordering issues).
     std::mutex lifecycle;
-    std::string label;                 // immutable after publication
-    std::uint64_t declared_bytes = 0;  // immutable after publication
-    std::size_t backing_bytes = 0;     // immutable after publication
+    std::string label;
+    // Written under `lifecycle`. Reuse stores the next generation, then a
+    // release fence, then the fields below, so a lock-free reader that
+    // re-loads an unchanged generation after an acquire fence read none of
+    // the new buffer's fields.
+    std::atomic<std::uint32_t> generation{0};
+    std::atomic<std::uint64_t> declared_bytes{0};
+    std::atomic<std::size_t> backing_bytes{0};
     std::atomic<unsigned> node{0};
     std::atomic<SlotState> state{SlotState::kUnpublished};
     std::atomic<std::byte*> data{nullptr};
-    std::unique_ptr<std::byte[]> storage;  // owner of data; reset under lifecycle
+    std::unique_ptr<std::byte[]> storage;  // owner of data
   };
 
-  /// Published slot for `id`, or nullptr (invalid id, unpublished slot).
+  /// Published slot at `id`'s index, or nullptr (invalid id, unpublished
+  /// slot). The caller checks the generation.
   [[nodiscard]] Slot* find_slot(BufferId id) const;
-  /// Claims a fresh slot index and returns its (chunk-resident) slot.
-  Slot* claim_slot(std::uint32_t& index_out);
+  /// The slot at `index`, creating its chunk when missing.
+  Slot* slot_at(std::uint32_t index);
+  /// Takes a slot from the free list (its generation bumped, under its
+  /// lifecycle lock held in `lock`) or claims a fresh one.
+  Slot* acquire_slot(BufferId& id_out, std::unique_lock<std::mutex>& lock);
+  /// Sets a slot held under its lifecycle lock to a live buffer and
+  /// publishes it.
+  void publish(Slot& slot, std::uint64_t declared_bytes, unsigned node,
+               std::string label, std::size_t backing_bytes);
+  /// info()'s copy, taken under the slot's lifecycle lock; false for an
+  /// invalid or stale id.
+  bool copy_info(BufferId id, BufferInfo& out) const;
+  /// Reads `read(slot)` when `slot` still holds `generation` before and
+  /// after the read (see Slot::generation); false for a stale id.
+  template <typename Read>
+  static bool read_current(const Slot& slot, std::uint32_t generation,
+                           Read read);
+  /// Appends the live buffers on `*node` (any node when null), ascending
+  /// buffer index.
+  void collect_live(const unsigned* node, std::vector<BufferId>& out) const;
   /// CAS-reserves `bytes` against `node`'s capacity; false when full.
   bool reserve_capacity(unsigned node, std::uint64_t bytes);
 
@@ -327,6 +407,8 @@ class SimMachine {
   std::unique_ptr<std::atomic<Slot*>[]> chunks_;
   std::mutex chunk_growth_mutex_;
   std::atomic<std::uint32_t> next_slot_{0};
+  mutable std::mutex free_mutex_;
+  std::vector<std::uint32_t> free_list_;  // slot indices; back() is reused next
   std::atomic<std::size_t> live_count_{0};
   std::unique_ptr<std::atomic<std::uint64_t>[]> used_;
   std::unique_ptr<std::atomic<std::uint8_t>[]> online_;

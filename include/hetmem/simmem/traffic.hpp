@@ -42,7 +42,7 @@ struct NodeTraffic {
 };
 
 /// Per-buffer totals, kept for the profiler (prof::) — indexed by
-/// BufferId::index.
+/// BufferId::index, each entry for the newest generation recorded there.
 struct BufferTraffic {
   double reads = 0.0;           // program-level accesses (pre-cache)
   double writes = 0.0;
@@ -91,7 +91,7 @@ class ThreadCtx {
   void add_compute_ns(double ns) { compute_ns_ += ns; }
 
   /// Marks a buffer as part of this phase's working set on its node.
-  void touch(BufferId buffer);
+  void touch(BufferId buffer) { (void)entry(buffer); }
 
   // --- phase bookkeeping ---
   void reset_phase();
@@ -108,12 +108,26 @@ class ThreadCtx {
   [[nodiscard]] const std::vector<BufferTraffic>& buffer_traffic() const {
     return buffer_traffic_;
   }
+  /// Per slot, the generation of the buffer buffer_traffic()'s entry counts:
+  /// a recycled slot's first record resets the entry to zero, so a new
+  /// buffer never inherits a dead one's counters.
+  [[nodiscard]] const std::vector<std::uint32_t>& buffer_generations() const {
+    return generations_;
+  }
+  /// The buffer buffer_traffic()[index] counts (index < its size).
+  [[nodiscard]] BufferId buffer_id(std::uint32_t index) const {
+    return BufferId{index, generations_[index]};
+  }
 
  private:
-  BufferTraffic& buffer_slot(BufferId buffer);
+  /// `buffer`'s counters, marked touched. A stale handle (older than the
+  /// generation its slot already counts) gets a scratch entry nothing reads.
+  BufferTraffic& entry(BufferId buffer);
 
   std::vector<NodeTraffic> node_traffic_;
   std::vector<BufferTraffic> buffer_traffic_;
+  std::vector<std::uint32_t> generations_;
+  BufferTraffic stale_;
   std::vector<std::uint32_t> touched_;
   std::vector<std::uint8_t> touched_mark_;
   support::Bitmap locality_;

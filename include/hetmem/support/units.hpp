@@ -36,6 +36,8 @@ std::optional<std::uint64_t> parse_bytes(std::string_view text);
 std::string format_bytes(std::uint64_t bytes);
 /// Appends format_bytes(bytes) to `out`.
 void append_bytes(std::string& out, std::uint64_t bytes);
+/// Appends `value` in decimal to `out` (std::to_chars, no temporary string).
+void append_decimal(std::string& out, std::uint64_t value);
 
 /// Bandwidth in decimal GB/s with 2 decimals, e.g. 7.86e10 -> "78.60 GB/s".
 std::string format_bandwidth(double bytes_per_second);

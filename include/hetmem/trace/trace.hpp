@@ -29,6 +29,9 @@
 //   s <buffer> <reads> <writes> <llc_misses> <memory_bytes> <rand> <rand_miss>
 //   ...
 //   end
+// A sample's <buffer> is BufferId::packed(), the buffer's generation above
+// its slot index, so a buffer on a recycled slot never reads as the dead
+// one; a buffer of its slot's first generation writes its bare index.
 // The epoch line's sample_period is the effective subsample period the
 // recorded run's sampler applied to that epoch (0 when none did), which is
 // what lets adaptive-sampling runs (docs/RUNTIME.md) replay byte-

@@ -44,7 +44,8 @@ std::vector<MigrationAdvice> advise_migrations(
          bt.memory_bytes / total_bytes < options.min_traffic_share)) {
       continue;
     }
-    const sim::BufferInfo& info = machine.info(sim::BufferId{index});
+    const sim::BufferId buffer = exec.traffic_buffer(index);
+    const sim::BufferInfo& info = machine.info(buffer);
     if (info.freed) continue;
 
     // Dominant behavior decides the criterion, via the shared thresholds the
@@ -84,10 +85,10 @@ std::vector<MigrationAdvice> advise_migrations(
     if (benefit <= 0.0) continue;
 
     const double cost =
-        allocator.estimate_migration_cost_ns(sim::BufferId{index}, to_node);
+        allocator.estimate_migration_cost_ns(buffer, to_node);
 
     MigrationAdvice entry;
-    entry.buffer = sim::BufferId{index};
+    entry.buffer = buffer;
     entry.label = info.label;
     entry.from_node = info.node;
     entry.to_node = to_node;

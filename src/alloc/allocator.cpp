@@ -2,10 +2,24 @@
 
 #include <algorithm>
 #include <optional>
+#include <utility>
 
 #include "hetmem/support/units.hpp"
 
 namespace hetmem::alloc {
+
+namespace {
+
+/// An empty string with room for a refusal message: its fixed text, the
+/// `variable` bytes of names and labels, and the numbers, so building the
+/// message never reallocates.
+std::string refusal_buffer(std::size_t variable) {
+  std::string message;
+  message.reserve(variable + 192);
+  return message;
+}
+
+}  // namespace
 
 using support::Errc;
 using support::make_error;
@@ -375,13 +389,18 @@ Result<Allocation> HeterogeneousAllocator::try_targets(
               ? "tenant total quota cap exhausted"
               : "tenant tier quota caps blocked every reachable target"};
     });
-    return backpressure_error(
-        request,
-        "tenant '" + tenant->name() + "' quota cannot absorb " +
-            support::format_bytes(request.bytes) + " for '" + request.label +
-            (gate->total_cap_hit ? "' (total cap reached)"
-                                 : "' (tier caps reached on every target)"),
-        ladder_in_use().options().retry_after_base_ms);
+    std::string message = refusal_buffer(tenant->name().size() +
+                                         request.label.size());
+    message += "tenant '";
+    message += tenant->name();
+    message += "' quota cannot absorb ";
+    support::append_bytes(message, request.bytes);
+    message += " for '";
+    message += request.label;
+    message += gate->total_cap_hit ? "' (total cap reached)"
+                                   : "' (tier caps reached on every target)";
+    return backpressure_error(request, std::move(message),
+                              ladder_in_use().options().retry_after_base_ms);
   }
   if (withheld > 0) {
     // Capacity exists, but only on unhealthy targets this request refused to
@@ -396,11 +415,15 @@ Result<Allocation> HeterogeneousAllocator::try_targets(
                             std::to_string(withheld) +
                             " quarantined target(s) withheld"};
     });
-    return make_error(Errc::kBackpressure,
-                      "healthy local targets cannot hold " +
-                          support::format_bytes(request.bytes) + " for '" +
-                          request.label + "'; " + std::to_string(withheld) +
-                          " quarantined target(s) withheld by admission control");
+    std::string message = refusal_buffer(request.label.size());
+    message += "healthy local targets cannot hold ";
+    support::append_bytes(message, request.bytes);
+    message += " for '";
+    message += request.label;
+    message += "'; ";
+    support::append_decimal(message, withheld);
+    message += " quarantined target(s) withheld by admission control";
+    return make_error(Errc::kBackpressure, std::move(message));
   }
   record_trace([&] {
     return TraceEvent{TraceEvent::Kind::kFail, request.label, 0,
@@ -469,12 +492,15 @@ Result<Allocation> HeterogeneousAllocator::mem_alloc(const AllocRequest& request
               std::string("shed at overload level ") +
                   tenant::overload_level_name(gate.level)};
         });
+        std::string message = refusal_buffer(owner.name().size());
+        message += "request shed for ";
+        message += tenant::priority_name(owner.priority());
+        message += " tenant '";
+        message += owner.name();
+        message += "' at overload level ";
+        message += tenant::overload_level_name(gate.level);
         return backpressure_error(
-            request,
-            std::string("request shed for ") +
-                tenant::priority_name(owner.priority()) + " tenant '" +
-                owner.name() + "' at overload level " +
-                tenant::overload_level_name(gate.level),
+            request, std::move(message),
             ladder_in_use().retry_after_ms(gate.level, owner.priority()));
       }
     }
@@ -555,16 +581,26 @@ std::vector<TraceEvent> HeterogeneousAllocator::failure_log() const {
 }
 
 Status HeterogeneousAllocator::mem_free(sim::BufferId buffer) {
+  // Everything read about the buffer is read before it is freed: from then
+  // on another thread's allocation may reuse its slot.
+  const bool traced = trace_enabled_.load(std::memory_order_relaxed);
+  sim::BufferInfo info;
+  if (traced) info = machine_->info(buffer);
+  // The charge leaves the table before the slot can be reused, so a new
+  // buffer's charge never lands on a slot whose old charge is still there.
+  TenantCharge charge = take_tenant_charge(buffer);
   Status status = machine_->free(buffer);
+  // Only a racing free of the same buffer can fail after the take; that
+  // free found no charge, so the refund below is still the only one.
+  if (charge.tenant != nullptr) charge.tenant->uncharge(charge.tier, charge.bytes);
   if (!status.ok()) return status;
   stats_.frees.fetch_add(1, std::memory_order_relaxed);
-  release_tenant_charge(buffer);
-  // A freed buffer keeps its label, node and size in the machine's table.
-  record_trace([&] {
-    sim::BufferInfo info = machine_->info(buffer);
-    return TraceEvent{TraceEvent::Kind::kFree, std::move(info.label),
-                      info.node, info.declared_bytes, ""};
-  });
+  if (traced) {
+    record_trace([&] {
+      return TraceEvent{TraceEvent::Kind::kFree, std::move(info.label),
+                        info.node, info.declared_bytes, ""};
+    });
+  }
   return {};
 }
 
@@ -573,46 +609,51 @@ void HeterogeneousAllocator::record_tenant_charge(sim::BufferId buffer,
                                                   topo::MemoryKind tier,
                                                   std::uint64_t bytes) {
   std::lock_guard<std::mutex> lock(tenant_mutex_);
-  tenant_charges_[buffer.index] = TenantCharge{std::move(tenant), tier, bytes};
-  tenant_charge_count_.store(tenant_charges_.size(),
-                             std::memory_order_relaxed);
+  if (tenant_charges_.size() <= buffer.index) {
+    tenant_charges_.resize(buffer.index + 1);
+  }
+  TenantCharge& charge = tenant_charges_[buffer.index];
+  // A charge still here belongs to a buffer freed through the machine
+  // directly, bypassing mem_free: nothing refunds it, and the new buffer's
+  // charge takes its entry.
+  if (charge.tenant == nullptr) {
+    tenant_charge_count_.fetch_add(1, std::memory_order_relaxed);
+  }
+  charge = TenantCharge{buffer.generation, std::move(tenant), tier, bytes};
 }
 
-void HeterogeneousAllocator::release_tenant_charge(sim::BufferId buffer) {
-  // The machine's free() succeeds at most once per buffer (double frees fail
-  // before reaching here), so the erase — and with it the quota refund — is
-  // exactly-once. The count gate keeps untenanted frees lock-free.
-  if (tenant_charge_count_.load(std::memory_order_relaxed) == 0) return;
-  TenantCharge charge;
-  {
-    std::lock_guard<std::mutex> lock(tenant_mutex_);
-    auto it = tenant_charges_.find(buffer.index);
-    if (it == tenant_charges_.end()) return;
-    charge = std::move(it->second);
-    tenant_charges_.erase(it);
-    tenant_charge_count_.store(tenant_charges_.size(),
-                               std::memory_order_relaxed);
-  }
-  charge.tenant->uncharge(charge.tier, charge.bytes);
+bool HeterogeneousAllocator::holds_charge(sim::BufferId buffer) const {
+  return buffer.index < tenant_charges_.size() &&
+         tenant_charges_[buffer.index].tenant != nullptr &&
+         tenant_charges_[buffer.index].generation == buffer.generation;
+}
+
+HeterogeneousAllocator::TenantCharge HeterogeneousAllocator::take_tenant_charge(
+    sim::BufferId buffer) {
+  // The count gate keeps untenanted frees lock-free.
+  if (tenant_charge_count_.load(std::memory_order_relaxed) == 0) return {};
+  std::lock_guard<std::mutex> lock(tenant_mutex_);
+  if (!holds_charge(buffer)) return {};
+  tenant_charge_count_.fetch_sub(1, std::memory_order_relaxed);
+  return std::exchange(tenant_charges_[buffer.index], TenantCharge{});
 }
 
 void HeterogeneousAllocator::move_tenant_charge(sim::BufferId buffer,
                                                 unsigned destination_node) {
   if (tenant_charge_count_.load(std::memory_order_relaxed) == 0) return;
   std::lock_guard<std::mutex> lock(tenant_mutex_);
-  auto it = tenant_charges_.find(buffer.index);
-  if (it == tenant_charges_.end()) return;
+  if (!holds_charge(buffer)) return;
+  TenantCharge& charge = tenant_charges_[buffer.index];
   const topo::MemoryKind to = node_kinds_[destination_node];
-  it->second.tenant->move_charge(it->second.tier, to, it->second.bytes);
-  it->second.tier = to;
+  charge.tenant->move_charge(charge.tier, to, charge.bytes);
+  charge.tier = to;
 }
 
 tenant::TenantHandle HeterogeneousAllocator::tenant_of(
     sim::BufferId buffer) const {
   if (tenant_charge_count_.load(std::memory_order_relaxed) == 0) return nullptr;
   std::lock_guard<std::mutex> lock(tenant_mutex_);
-  auto it = tenant_charges_.find(buffer.index);
-  return it == tenant_charges_.end() ? nullptr : it->second.tenant;
+  return holds_charge(buffer) ? tenant_charges_[buffer.index].tenant : nullptr;
 }
 
 const tenant::DegradationLadder& HeterogeneousAllocator::ladder_in_use() const {
@@ -662,9 +703,9 @@ bool HeterogeneousAllocator::no_healthy_online_target(
 support::Error HeterogeneousAllocator::backpressure_error(
     const AllocRequest& request, std::string message, std::uint64_t hint_ms) {
   if (request.deadline_ms > 0) hint_ms = std::min(hint_ms, request.deadline_ms);
-  support::Error error =
-      make_error(Errc::kBackpressure, std::move(message) + "; retry-after-ms=" +
-                                          std::to_string(hint_ms));
+  message += "; retry-after-ms=";
+  support::append_decimal(message, hint_ms);
+  support::Error error = make_error(Errc::kBackpressure, std::move(message));
   error.retry_after_ms = hint_ms;
   return error;
 }

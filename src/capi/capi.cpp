@@ -290,7 +290,7 @@ static int64_t alloc_impl(hetmem_context* ctx, uint64_t bytes, int attr,
     }
     return map_errc(allocation.error().code);
   }
-  return static_cast<int64_t>(allocation->buffer.index);
+  return static_cast<int64_t>(allocation->buffer.packed());
 }
 
 int64_t hetmem_alloc(hetmem_context* ctx, uint64_t bytes, int attr,
@@ -298,29 +298,30 @@ int64_t hetmem_alloc(hetmem_context* ctx, uint64_t bytes, int attr,
   return alloc_impl(ctx, bytes, attr, initiator, policy, label, nullptr);
 }
 
+/// A handle is BufferId::packed(): the generation above the slot index.
+static sim::BufferId buffer_id(int64_t handle) {
+  return sim::BufferId::unpack(static_cast<std::uint64_t>(handle));
+}
+
 int hetmem_free(hetmem_context* ctx, int64_t buffer) {
   if (ctx == nullptr || buffer < 0) return HETMEM_ERR_INVALID;
-  auto status = ctx->allocator->mem_free(
-      sim::BufferId{static_cast<std::uint32_t>(buffer)});
+  auto status = ctx->allocator->mem_free(buffer_id(buffer));
   return status.ok() ? HETMEM_SUCCESS : map_errc(status.error().code);
 }
 
 int hetmem_buffer_node(const hetmem_context* ctx, int64_t buffer) {
   if (ctx == nullptr || buffer < 0) return HETMEM_ERR_INVALID;
-  const auto id = sim::BufferId{static_cast<std::uint32_t>(buffer)};
-  if (static_cast<std::size_t>(buffer) >= ctx->machine->total_buffer_count()) {
-    return HETMEM_ERR_INVALID;
-  }
-  const sim::BufferInfo info = ctx->machine->info(id);
-  if (info.freed) return HETMEM_ERR_INVALID;
-  return static_cast<int>(info.node);
+  // Out-of-range, stale (slot reused) and freed handles all read as freed.
+  const sim::BufferResidency residency =
+      ctx->machine->residency(buffer_id(buffer));
+  if (residency.freed) return HETMEM_ERR_INVALID;
+  return static_cast<int>(residency.node);
 }
 
 int hetmem_migrate(hetmem_context* ctx, int64_t buffer, unsigned node,
                    double* cost_ns) {
   if (ctx == nullptr || buffer < 0) return HETMEM_ERR_INVALID;
-  auto cost = ctx->allocator->migrate(
-      sim::BufferId{static_cast<std::uint32_t>(buffer)}, node);
+  auto cost = ctx->allocator->migrate(buffer_id(buffer), node);
   if (!cost.ok()) return map_errc(cost.error().code);
   if (cost_ns != nullptr) *cost_ns = *cost;
   return HETMEM_SUCCESS;

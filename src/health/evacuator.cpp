@@ -106,14 +106,13 @@ double Evacuator::drain_epoch(std::uint64_t epoch_index, unsigned node,
   for (sim::BufferId buffer : live_) {
     DrainItem item;
     item.buffer = buffer;
-    if (classifier != nullptr && buffer.index < classifier->states().size()) {
-      const auto& buffer_state = classifier->states()[buffer.index];
-      if (buffer_state.tracked) {
-        item.tracked = true;
-        item.sensitivity = buffer_state.committed;
-        item.drain_class = drain_class_of(buffer_state.committed);
-        item.ema_bytes = buffer_state.ema.memory_bytes;
-      }
+    const runtime::OnlineClassifier::BufferState* buffer_state =
+        classifier != nullptr ? classifier->state_of(buffer) : nullptr;
+    if (buffer_state != nullptr) {
+      item.tracked = true;
+      item.sensitivity = buffer_state->committed;
+      item.drain_class = drain_class_of(buffer_state->committed);
+      item.ema_bytes = buffer_state->ema.memory_bytes;
     }
     items_.push_back(item);
   }

@@ -76,10 +76,11 @@ std::vector<BufferProfile> profile_buffers(const sim::ExecutionContext& exec,
   for (std::uint32_t index = 0; index < merged.size(); ++index) {
     const sim::BufferTraffic& bt = merged[index];
     if (bt.reads + bt.writes <= 0.0) continue;
-    const sim::BufferInfo& info = machine.info(sim::BufferId{index});
+    const sim::BufferId buffer = exec.traffic_buffer(index);
+    const sim::BufferInfo& info = machine.info(buffer);
 
     BufferProfile profile;
-    profile.buffer = sim::BufferId{index};
+    profile.buffer = buffer;
     profile.label = info.label;
     profile.node = info.node;
     profile.declared_bytes = info.declared_bytes;

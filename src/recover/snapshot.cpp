@@ -16,7 +16,9 @@ using support::Status;
 
 namespace {
 
-constexpr const char* kHeader = "hetmem-snap/1";
+constexpr const char* kHeader = "hetmem-snap/2";
+/// The previous version, still read (see parse()).
+constexpr const char* kHeaderV1 = "hetmem-snap/1";
 
 // Each record's fields, listed once. serialize() calls a list with a
 // support::RecordWriter and a const value, parse() with a FieldReader and
@@ -53,9 +55,13 @@ constexpr auto buffers_fields = [](auto& io, auto& snap) {
 };
 
 constexpr auto buffer_fields = [](auto& io, auto& b) {
-  return io(b.index, b.node, b.declared_bytes, b.backing_bytes, b.freed,
+  return io(b.index, b.generation, b.node, b.declared_bytes, b.backing_bytes,
             b.tenant_id) &&
          io.text(b.label);
+};
+
+constexpr auto free_fields = [](auto& io, auto& id) {
+  return io(id.index, id.generation);
 };
 
 constexpr auto tenant_fields = [](auto& io, auto& t) {
@@ -89,11 +95,17 @@ constexpr auto classifier_fields = [](auto& io, auto& snap) {
   return io(snap.classifier_ema_total_bytes, count);
 };
 
-constexpr auto cstate_fields = [](auto& io, auto& s) {
+/// `hetmem-snap/1`'s classifier state: cstate_fields without the
+/// generation.
+constexpr auto cstate_v1_fields = [](auto& io, auto& s) {
   return io(s.tracked) && sim::traffic_fields(io, s.ema) &&
          io.enumeration(s.committed, prof::Sensitivity::kInsensitive) &&
          io.enumeration(s.pending, prof::Sensitivity::kInsensitive) &&
          io(s.disagreement_streak);
+};
+
+constexpr auto cstate_fields = [](auto& io, auto& s) {
+  return cstate_v1_fields(io, s) && io(s.generation);
 };
 
 /// Shared by the engine record and the watchdog's engine baseline.
@@ -198,24 +210,21 @@ Snapshot capture(const CaptureSources& sources) {
   }
 
   snap.buffers_total = machine.total_buffer_count();
-  snap.buffers.reserve(snap.buffers_total);
   const alloc::HeterogeneousAllocator& allocator = *sources.allocator;
-  for (std::uint32_t i = 0; i < snap.buffers_total; ++i) {
-    const sim::BufferId id{i};
+  for (const sim::BufferId id : machine.live_buffers()) {
     const sim::BufferInfo info = machine.info(id);
     Snapshot::BufferRecord record;
-    record.index = i;
+    record.index = id.index;
+    record.generation = id.generation;
     record.node = info.node;
     record.declared_bytes = info.declared_bytes;
     record.backing_bytes = info.backing_bytes;
-    record.freed = info.freed;
     record.label = info.label;
-    if (!info.freed) {
-      const tenant::TenantHandle owner = allocator.tenant_of(id);
-      if (owner != nullptr) record.tenant_id = owner->id();
-    }
+    const tenant::TenantHandle owner = allocator.tenant_of(id);
+    if (owner != nullptr) record.tenant_id = owner->id();
     snap.buffers.push_back(std::move(record));
   }
+  snap.free_slots = machine.free_slots();
 
   if (sources.tenants != nullptr) {
     for (const tenant::TenantHandle& handle : sources.tenants->tenants()) {
@@ -232,14 +241,13 @@ Snapshot capture(const CaptureSources& sources) {
     // charges survive through the allocator's handles; synthesize records
     // for them so restore can rebuild those charges (marked dead).
     for (const Snapshot::BufferRecord& buffer : snap.buffers) {
-      if (buffer.freed || buffer.tenant_id == tenant::kNoTenant) continue;
+      if (buffer.tenant_id == tenant::kNoTenant) continue;
       bool known = false;
       for (const Snapshot::TenantRecord& t : snap.tenants) {
         known = known || t.id == buffer.tenant_id;
       }
       if (known) continue;
-      const tenant::TenantHandle dead =
-          allocator.tenant_of(sim::BufferId{buffer.index});
+      const tenant::TenantHandle dead = allocator.tenant_of(buffer.id());
       if (dead == nullptr) continue;
       Snapshot::TenantRecord record;
       record.id = dead->id();
@@ -321,6 +329,9 @@ std::string serialize(const Snapshot& snap) {
   for (const Snapshot::BufferRecord& buffer : snap.buffers) {
     put_record(out, "buffer", buffer_fields, buffer);
   }
+  for (const sim::BufferId& slot : snap.free_slots) {
+    put_record(out, "free", free_fields, slot);
+  }
   for (const Snapshot::TenantRecord& tenant : snap.tenants) {
     put_record(out, "tenant", tenant_fields, tenant);
   }
@@ -387,10 +398,12 @@ Result<Snapshot> parse(std::string_view text) {
   support::LineReader lines("snapshot", text);
   if (lines.done()) return lines.error("empty snapshot");
   const std::string_view header = lines.next();
-  if (header != kHeader) {
+  const bool v1 = header == kHeaderV1;
+  if (header != kHeader && !v1) {
     return lines.error("unsupported snapshot header '" + std::string(header) +
                        "' (expected " + kHeader + ")");
   }
+  std::uint64_t v1_slots = 0;  // a /1 text lists every slot, in order
   const std::size_t payload_start = lines.offset();
   std::size_t payload_end = payload_start;
   std::uint64_t declared_checksum = 0;
@@ -441,10 +454,26 @@ Result<Snapshot> parse(std::string_view text) {
       ok = get_indexed(in, npower_fields, snap.node_power);
     } else if (tag == "buffers") {
       ok = buffers_fields(in, snap);
+    } else if (tag == "buffer" && v1) {
+      Snapshot::BufferRecord buffer;
+      bool freed = false;
+      ok = in(buffer.index, buffer.node, buffer.declared_bytes,
+              buffer.backing_bytes, freed, buffer.tenant_id) &&
+           in.text(buffer.label) && buffer.index == v1_slots++;
+      if (freed) {
+        snap.free_slots.push_back(buffer.id());
+      } else {
+        snap.buffers.push_back(std::move(buffer));
+      }
     } else if (tag == "buffer") {
       Snapshot::BufferRecord buffer;
-      ok = buffer_fields(in, buffer) && buffer.index == snap.buffers.size();
+      ok = buffer_fields(in, buffer) && buffer.index < snap.buffers_total &&
+           (snap.buffers.empty() || buffer.index > snap.buffers.back().index);
       snap.buffers.push_back(std::move(buffer));
+    } else if (tag == "free" && !v1) {
+      sim::BufferId slot;
+      ok = free_fields(in, slot) && slot.index < snap.buffers_total;
+      snap.free_slots.push_back(slot);
     } else if (tag == "tenant") {
       ok = tenant_fields(in, snap.tenants.emplace_back());
     } else if (tag == "tnext") {
@@ -469,7 +498,8 @@ Result<Snapshot> parse(std::string_view text) {
     } else if (tag == "classifier") {
       ok = classifier_fields(in, snap);
     } else if (tag == "cstate") {
-      ok = get_indexed(in, cstate_fields, snap.classifier_states);
+      ok = v1 ? get_indexed(in, cstate_v1_fields, snap.classifier_states)
+              : get_indexed(in, cstate_fields, snap.classifier_states);
     } else if (tag == "engine") {
       ok = engine_fields(in, snap);
     } else if (tag == "health") {
@@ -525,7 +555,7 @@ Result<Snapshot> parse(std::string_view text) {
     return make_error(Errc::kInvalidArgument,
                       "snapshot node records do not match its node count");
   }
-  if (snap.buffers.size() != snap.buffers_total) {
+  if (v1 && v1_slots != snap.buffers_total) {
     return make_error(
         Errc::kInvalidArgument,
         "snapshot buffer records do not match its buffer count");
@@ -575,51 +605,31 @@ Result<Snapshot> load(const std::string& path) {
 
 namespace {
 
-/// Rebuild-from-empty: re-allocates every recorded slot in ascending index
-/// order so BufferIds line up exactly. Freed slots become allocate-then-free
-/// tombstones (zero-byte allocations are rejected, so tombstones claim one
-/// byte — transiently, on whichever node has room).
+/// Rebuild-from-empty: the machine takes the recorded buffer table whole.
 Status rebuild_buffers(const Snapshot& snap, sim::SimMachine& machine) {
-  const std::size_t nodes = machine.topology().numa_nodes().size();
+  if (snap.buffers_total > UINT32_MAX) {
+    return make_error(Errc::kInvalidArgument,
+                      "snapshot buffer watermark out of range");
+  }
+  std::vector<sim::SimMachine::RestoredBuffer> live;
+  live.reserve(snap.buffers.size());
   for (const Snapshot::BufferRecord& record : snap.buffers) {
-    if (!record.freed) {
-      auto id = machine.allocate(record.declared_bytes, record.node,
-                                 record.label, record.backing_bytes);
-      if (!id.ok()) {
-        return make_error(Errc::kInternal,
-                          "restore cannot re-allocate buffer '" +
-                              record.label + "': " + id.error().to_string());
-      }
-      if (id->index != record.index) {
-        return make_error(Errc::kInternal,
-                          "restore buffer index drifted (machine not empty?)");
-      }
-      continue;
-    }
-    // Tombstone for a freed slot: the placement is irrelevant (freed
-    // immediately), only the index matters.
-    support::Result<sim::BufferId> id =
-        make_error(Errc::kOutOfCapacity, "no node tried");
-    for (unsigned n = 0; n < nodes && !id.ok(); ++n) {
-      id = machine.allocate(1, n, record.label, 0);
-    }
-    if (!id.ok()) {
-      return make_error(Errc::kInternal,
-                        "restore cannot place tombstone for freed buffer '" +
-                            record.label + "'");
-    }
-    if (id->index != record.index) {
-      return make_error(Errc::kInternal,
-                        "restore buffer index drifted (machine not empty?)");
-    }
-    const Status freed = machine.free(*id);
-    if (!freed.ok()) return freed;
+    live.push_back({record.id(), record.node, record.declared_bytes,
+                    record.backing_bytes, record.label});
+  }
+  const Status rebuilt = machine.restore_buffer_table(
+      static_cast<std::uint32_t>(snap.buffers_total), live, snap.free_slots);
+  if (!rebuilt.ok()) {
+    return make_error(Errc::kInternal, "restore cannot rebuild the buffer "
+                                       "table: " +
+                                           rebuilt.error().to_string());
   }
   return {};
 }
 
 /// Re-place: the machine already holds identically-prepared buffers; verify
-/// identity and migrate each live one to its recorded node.
+/// identity (ids, labels, free list) and migrate each live one to its
+/// recorded node.
 Status replace_buffers(const Snapshot& snap, sim::SimMachine& machine) {
   if (machine.total_buffer_count() != snap.buffers_total) {
     return make_error(Errc::kInvalidArgument,
@@ -628,19 +638,33 @@ Status replace_buffers(const Snapshot& snap, sim::SimMachine& machine) {
                           " buffer slot(s), snapshot has " +
                           std::to_string(snap.buffers_total));
   }
-  for (const Snapshot::BufferRecord& record : snap.buffers) {
-    const sim::BufferId id{record.index};
-    const sim::BufferInfo info = machine.info(id);
-    if (info.freed != record.freed || (!record.freed &&
-                                       info.label != record.label)) {
+  const std::vector<sim::BufferId> live = machine.live_buffers();
+  if (live.size() != snap.buffers.size()) {
+    return make_error(Errc::kInvalidArgument,
+                      "restore target machine has " +
+                          std::to_string(live.size()) +
+                          " live buffer(s), snapshot has " +
+                          std::to_string(snap.buffers.size()));
+  }
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    const Snapshot::BufferRecord& record = snap.buffers[i];
+    const sim::BufferInfo info = machine.info(record.id());
+    if (live[i] != record.id() || info.label != record.label) {
       return make_error(Errc::kInvalidArgument,
                         "restore target buffer " +
                             std::to_string(record.index) +
                             " does not match the snapshot ('" + info.label +
                             "' vs '" + record.label + "')");
     }
-    if (record.freed || info.node == record.node) continue;
-    const Status moved = machine.migrate(id, record.node);
+  }
+  if (machine.free_slots() != snap.free_slots) {
+    return make_error(Errc::kInvalidArgument,
+                      "restore target machine's free slots differ from the "
+                      "snapshot's");
+  }
+  for (const Snapshot::BufferRecord& record : snap.buffers) {
+    if (machine.info(record.id()).node == record.node) continue;
+    const Status moved = machine.migrate(record.id(), record.node);
     if (!moved.ok()) {
       return make_error(Errc::kInternal,
                         "restore cannot re-place buffer '" + record.label +
@@ -675,7 +699,7 @@ Status restore(const Snapshot& snap, const RestoreTargets& targets) {
 
   // 1. Buffers — while every node is still online (rebuild allocations on a
   //    node the snapshot later marks offline must succeed first).
-  if (machine.total_buffer_count() == 0 && snap.buffers_total > 0) {
+  if (machine.live_buffer_count() == 0) {
     const Status rebuilt = rebuild_buffers(snap, machine);
     if (!rebuilt.ok()) return rebuilt;
   } else {
@@ -707,8 +731,8 @@ Status restore(const Snapshot& snap, const RestoreTargets& targets) {
       if (!record.live) dead.push_back(std::move(handle));
     }
     for (const Snapshot::BufferRecord& record : snap.buffers) {
-      if (record.freed || record.tenant_id == tenant::kNoTenant) continue;
-      const sim::BufferId id{record.index};
+      if (record.tenant_id == tenant::kNoTenant) continue;
+      const sim::BufferId id = record.id();
       if (targets.allocator->tenant_of(id) != nullptr) continue;  // re-place
       tenant::TenantHandle owner = targets.tenants->find(record.tenant_id);
       if (owner == nullptr) {

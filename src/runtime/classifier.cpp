@@ -9,16 +9,21 @@ OnlineClassifier::OnlineClassifier(ClassifierOptions options)
   options_.ema_alpha = std::clamp(options_.ema_alpha, 1e-6, 1.0);
 }
 
+const OnlineClassifier::BufferState* OnlineClassifier::state_of(
+    sim::BufferId buffer) const {
+  if (!buffer.valid() || buffer.index >= states_.size()) return nullptr;
+  const BufferState& state = states_[buffer.index];
+  return state.tracked && state.generation == buffer.generation ? &state
+                                                                 : nullptr;
+}
+
 prof::Sensitivity OnlineClassifier::committed(sim::BufferId buffer) const {
-  if (!buffer.valid() || buffer.index >= states_.size()) {
-    return prof::Sensitivity::kInsensitive;
-  }
-  return states_[buffer.index].committed;
+  const BufferState* state = state_of(buffer);
+  return state != nullptr ? state->committed : prof::Sensitivity::kInsensitive;
 }
 
 bool OnlineClassifier::tracked(sim::BufferId buffer) const {
-  return buffer.valid() && buffer.index < states_.size() &&
-         states_[buffer.index].tracked;
+  return state_of(buffer) != nullptr;
 }
 
 std::vector<Reclassification> OnlineClassifier::observe(const Epoch& epoch) {
@@ -55,6 +60,15 @@ std::vector<Reclassification> OnlineClassifier::observe(const Epoch& epoch) {
     if (next_sample < epoch.samples.size() &&
         epoch.samples[next_sample].buffer.index == index) {
       sample = &epoch.samples[next_sample++];
+      if (sample->buffer.generation != state.generation) {
+        if (sample->buffer.generation < state.generation) {
+          sample = nullptr;  // a dead buffer's late sample
+        } else {
+          // A new buffer on a recycled slot inherits nothing.
+          state = BufferState{};
+          state.generation = sample->buffer.generation;
+        }
+      }
     }
     if (!state.tracked) {
       if (sample == nullptr) continue;
@@ -70,9 +84,9 @@ std::vector<Reclassification> OnlineClassifier::observe(const Epoch& epoch) {
           options_.thresholds);
       state.pending = state.committed;
       if (state.committed != prof::Sensitivity::kInsensitive) {
-        commits.push_back(Reclassification{sim::BufferId{index},
-                                           prof::Sensitivity::kInsensitive,
-                                           state.committed});
+        commits.push_back(Reclassification{
+            sim::BufferId{index, state.generation},
+            prof::Sensitivity::kInsensitive, state.committed});
       }
       continue;
     }
@@ -98,8 +112,8 @@ std::vector<Reclassification> OnlineClassifier::observe(const Epoch& epoch) {
       state.disagreement_streak = 1;
     }
     if (state.disagreement_streak >= std::max(1u, options_.hysteresis_epochs)) {
-      commits.push_back(Reclassification{sim::BufferId{index}, state.committed,
-                                         instant});
+      commits.push_back(Reclassification{
+          sim::BufferId{index, state.generation}, state.committed, instant});
       state.committed = instant;
       state.disagreement_streak = 0;
     }

@@ -18,7 +18,7 @@ struct PlannedEviction {
 };
 
 struct Victim {
-  std::uint32_t index = 0;
+  sim::BufferId buffer;
   std::uint64_t bytes = 0;
 };
 
@@ -46,8 +46,8 @@ class VictimLists {
       const auto& states = *states_;
       std::stable_sort(list.begin(), list.end(),
                        [&](const Victim& a, const Victim& b) {
-                         return states[a.index].ema.memory_bytes <
-                                states[b.index].ema.memory_bytes;
+                         return states[a.buffer.index].ema.memory_bytes <
+                                states[b.buffer.index].ema.memory_bytes;
                        });
       sorted_[node] = true;
     }
@@ -72,10 +72,11 @@ class VictimLists {
           states[index].committed != prof::Sensitivity::kInsensitive) {
         continue;
       }
-      const sim::BufferResidency residency =
-          machine_->residency(sim::BufferId{index});
+      const sim::BufferId buffer{index, states[index].generation};
+      const sim::BufferResidency residency = machine_->residency(buffer);
       if (residency.freed) continue;
-      lists_[residency.node].push_back(Victim{index, residency.declared_bytes});
+      lists_[residency.node].push_back(
+          Victim{buffer, residency.declared_bytes});
       bytes_[residency.node] += residency.declared_bytes;
     }
   }
@@ -193,7 +194,7 @@ double MigrationEngine::run_epoch(std::uint64_t epoch_index,
         state.committed == prof::Sensitivity::kInsensitive) {
       continue;
     }
-    const sim::BufferId buffer{index};
+    const sim::BufferId buffer{index, state.generation};
     const sim::BufferResidency residency = machine.residency(buffer);
     if (residency.freed) continue;
 
@@ -294,8 +295,8 @@ double MigrationEngine::run_epoch(std::uint64_t epoch_index,
         if (victim_dest == candidate.to_node) continue;  // nowhere to put it
         promised[victim_dest] += victim.bytes;
         room += victim.bytes;
-        evictions.push_back(PlannedEviction{sim::BufferId{victim.index},
-                                            victim_dest, victim.bytes});
+        evictions.push_back(
+            PlannedEviction{victim.buffer, victim_dest, victim.bytes});
       }
     }
     if (room < residency.declared_bytes) {

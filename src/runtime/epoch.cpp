@@ -92,11 +92,11 @@ Epoch EpochSampler::make_epoch(const sim::ExecutionContext& exec) {
   const bool exact = period <= 1.0;
 
   exec.read_traffic_deltas(
-      reader_, [&](std::uint32_t index, const sim::BufferTraffic& raw) {
+      reader_, [&](sim::BufferId buffer, const sim::BufferTraffic& raw) {
         sim::BufferTraffic delta = raw;
         if (!exact) subsample_traffic(delta, period);
         epoch.total_memory_bytes += delta.memory_bytes;
-        epoch.samples.push_back(EpochSample{sim::BufferId{index}, delta});
+        epoch.samples.push_back(EpochSample{buffer, delta});
       });
 
   snapshot_clock_ns_ = exec.clock_ns();

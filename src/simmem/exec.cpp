@@ -48,17 +48,19 @@ void resolve_phase_into(const SimMachine& machine,
 
   // Per-node working set: unique touched buffers, grouped by current node.
   // Integer sums, so the visiting order does not matter.
+  // A slot is marked only once a live buffer on it counted: a thread that
+  // touched the slot's dead predecessor must not hide the live one.
   std::vector<std::uint8_t>& seen = scratch.buffer_seen;
   for (const ThreadCtx* ctx : contexts) {
     for (std::uint32_t index : ctx->touched_buffers()) {
       if (seen.size() <= index) seen.resize(index + 1, 0);
       if (seen[index] != 0) continue;
+      const BufferResidency residency =
+          machine.residency(ctx->buffer_id(index));
+      if (residency.freed) continue;
       seen[index] = 1;
-      const BufferResidency residency = machine.residency(BufferId{index});
-      if (!residency.freed) {
-        result.nodes[residency.node].working_set_bytes +=
-            residency.declared_bytes;
-      }
+      result.nodes[residency.node].working_set_bytes +=
+          residency.declared_bytes;
     }
   }
   for (const ThreadCtx* ctx : contexts) {
@@ -297,14 +299,36 @@ const PhaseResult& ExecutionContext::run_phase(std::string name, std::size_t ite
 
 std::vector<BufferTraffic> ExecutionContext::merged_buffer_traffic() const {
   std::vector<BufferTraffic> merged;
+  std::vector<std::uint32_t> generations;
   for (const auto& ctx : contexts_) {
     const auto& per_buffer = ctx->buffer_traffic();
-    if (merged.size() < per_buffer.size()) merged.resize(per_buffer.size());
+    const auto& per_generation = ctx->buffer_generations();
+    if (merged.size() < per_buffer.size()) {
+      merged.resize(per_buffer.size());
+      generations.resize(per_buffer.size(), 0);
+    }
     for (std::size_t i = 0; i < per_buffer.size(); ++i) {
-      add_traffic(merged[i], per_buffer[i]);
+      if (per_generation[i] > generations[i]) {
+        merged[i] = BufferTraffic{};
+        generations[i] = per_generation[i];
+      }
+      if (per_generation[i] == generations[i]) {
+        add_traffic(merged[i], per_buffer[i]);
+      }
     }
   }
   return merged;
+}
+
+BufferId ExecutionContext::traffic_buffer(std::uint32_t index) const {
+  BufferId buffer{index, 0};
+  for (const auto& ctx : contexts_) {
+    if (index < ctx->buffer_generations().size()) {
+      buffer.generation =
+          std::max(buffer.generation, ctx->buffer_generations()[index]);
+    }
+  }
+  return buffer;
 }
 
 void ExecutionContext::read_traffic_deltas(TelemetryReader& reader,
@@ -314,6 +338,7 @@ void ExecutionContext::read_traffic_deltas(TelemetryReader& reader,
     // reader would: its cursor and snapshot describe that other journal.
     reader.context_id_ = id_;
     reader.snapshot_.clear();
+    reader.generations_.clear();
     reader.journal_cursor_ = 0;
   }
   // Journal entries since this reader's cursor, ascending and unique: the
@@ -327,13 +352,28 @@ void ExecutionContext::read_traffic_deltas(TelemetryReader& reader,
   read_scratch_.erase(std::unique(read_scratch_.begin(), read_scratch_.end()),
                       read_scratch_.end());
   for (std::uint32_t index : read_scratch_) {
+    // The newest generation any thread counts at this slot; older entries
+    // belong to a dead buffer and count nothing.
     BufferTraffic now;
+    std::uint32_t generation = 0;
     for (const auto& ctx : contexts_) {
       const auto& cumulative = ctx->buffer_traffic();
-      if (index < cumulative.size()) add_traffic(now, cumulative[index]);
+      if (index >= cumulative.size()) continue;
+      const std::uint32_t counted = ctx->buffer_generations()[index];
+      if (counted > generation) {
+        now = BufferTraffic{};
+        generation = counted;
+      }
+      if (counted == generation) add_traffic(now, cumulative[index]);
     }
-    if (reader.snapshot_.size() <= index) reader.snapshot_.resize(index + 1);
-    const BufferTraffic& then = reader.snapshot_[index];
+    if (reader.snapshot_.size() <= index) {
+      reader.snapshot_.resize(index + 1);
+      reader.generations_.resize(index + 1, 0);
+    }
+    static const BufferTraffic kNone{};
+    const BufferTraffic& then = reader.generations_[index] == generation
+                                    ? reader.snapshot_[index]
+                                    : kNone;
     BufferTraffic delta;
     delta.reads = now.reads - then.reads;
     delta.writes = now.writes - then.writes;
@@ -345,7 +385,8 @@ void ExecutionContext::read_traffic_deltas(TelemetryReader& reader,
                      delta.memory_bytes > 0.0;
     if (!any) continue;  // touched with no new activity
     reader.snapshot_[index] = now;
-    fn(index, delta);
+    reader.generations_[index] = generation;
+    fn(BufferId{index, generation}, delta);
   }
 }
 

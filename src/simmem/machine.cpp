@@ -1,7 +1,7 @@
 #include "hetmem/simmem/machine.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <utility>
 
 #include "hetmem/fault/fault.hpp"
 #include "hetmem/support/units.hpp"
@@ -70,16 +70,14 @@ SimMachine::Slot* SimMachine::find_slot(BufferId id) const {
   if (chunk == nullptr) return nullptr;
   Slot* slot = &chunk[id.index & (kSlotsPerChunk - 1)];
   // An acquire load of the state pairs with the release store at publication
-  // so the immutable fields (label, sizes, storage) are visible.
+  // so the fields of the slot's first buffer are visible.
   if (slot->state.load(std::memory_order_acquire) == SlotState::kUnpublished) {
     return nullptr;
   }
   return slot;
 }
 
-SimMachine::Slot* SimMachine::claim_slot(std::uint32_t& index_out) {
-  const std::uint32_t index = next_slot_.fetch_add(1, std::memory_order_acq_rel);
-  if (index >= kMaxChunks * kSlotsPerChunk) return nullptr;  // table exhausted
+SimMachine::Slot* SimMachine::slot_at(std::uint32_t index) {
   const std::size_t chunk_index = index >> kSlotChunkShift;
   Slot* chunk = chunks_[chunk_index].load(std::memory_order_acquire);
   if (chunk == nullptr) {
@@ -90,8 +88,64 @@ SimMachine::Slot* SimMachine::claim_slot(std::uint32_t& index_out) {
       chunks_[chunk_index].store(chunk, std::memory_order_release);
     }
   }
-  index_out = index;
   return &chunk[index & (kSlotsPerChunk - 1)];
+}
+
+SimMachine::Slot* SimMachine::acquire_slot(BufferId& id_out,
+                                           std::unique_lock<std::mutex>& lock) {
+  std::uint32_t index = UINT32_MAX;
+  {
+    std::lock_guard<std::mutex> guard(free_mutex_);
+    if (!free_list_.empty()) {
+      index = free_list_.back();
+      free_list_.pop_back();
+    }
+  }
+  if (index != UINT32_MAX) {
+    Slot* slot = slot_at(index);
+    lock = std::unique_lock<std::mutex>(slot->lifecycle);
+    // The release store keeps a reader that sees the new generation from
+    // reading the freed buffer's kLive; the fence orders it before every
+    // field publish() rewrites (see Slot::generation).
+    const std::uint32_t generation =
+        slot->generation.load(std::memory_order_relaxed) + 1;
+    slot->generation.store(generation, std::memory_order_release);
+    std::atomic_thread_fence(std::memory_order_release);
+    id_out = BufferId{index, generation};
+    return slot;
+  }
+  index = next_slot_.fetch_add(1, std::memory_order_acq_rel);
+  if (index >= kMaxChunks * kSlotsPerChunk) return nullptr;  // table exhausted
+  Slot* slot = slot_at(index);
+  lock = std::unique_lock<std::mutex>(slot->lifecycle);
+  id_out = BufferId{index, 0};
+  return slot;
+}
+
+void SimMachine::publish(Slot& slot, std::uint64_t declared_bytes,
+                         unsigned node, std::string label,
+                         std::size_t backing_bytes) {
+  slot.label = std::move(label);
+  slot.declared_bytes.store(declared_bytes, std::memory_order_relaxed);
+  slot.backing_bytes.store(backing_bytes, std::memory_order_relaxed);
+  slot.storage = std::make_unique<std::byte[]>(backing_bytes);  // zeroed
+  slot.node.store(node, std::memory_order_relaxed);
+  slot.data.store(slot.storage.get(), std::memory_order_release);
+  // Publication point: readers that see kLive also see the fields above.
+  slot.state.store(SlotState::kLive, std::memory_order_release);
+}
+
+template <typename Read>
+bool SimMachine::read_current(const Slot& slot, std::uint32_t generation,
+                              Read read) {
+  if (slot.generation.load(std::memory_order_acquire) != generation) {
+    return false;
+  }
+  read(slot);
+  // Pairs with the release fence in acquire_slot(): a read that saw any
+  // field of a newer buffer also sees the newer generation below.
+  std::atomic_thread_fence(std::memory_order_acquire);
+  return slot.generation.load(std::memory_order_relaxed) == generation;
 }
 
 bool SimMachine::reserve_capacity(unsigned node, std::uint64_t bytes) {
@@ -145,23 +199,16 @@ Result<BufferId> SimMachine::allocate(std::uint64_t declared_bytes, unsigned nod
         std::min<std::uint64_t>(declared_bytes, 64 * support::kKiB));
   }
 
-  std::uint32_t index = 0;
-  Slot* slot = claim_slot(index);
+  BufferId id;
+  std::unique_lock<std::mutex> lock;
+  Slot* slot = acquire_slot(id, lock);
   if (slot == nullptr) {
     used_[node].fetch_sub(declared_bytes, std::memory_order_relaxed);
     return make_error(Errc::kOutOfCapacity, "buffer table exhausted");
   }
-  slot->label = std::move(label);
-  slot->declared_bytes = declared_bytes;
-  slot->backing_bytes = backing_bytes;
-  slot->storage = std::make_unique<std::byte[]>(backing_bytes);
-  std::memset(slot->storage.get(), 0, backing_bytes);
-  slot->node.store(node, std::memory_order_relaxed);
-  slot->data.store(slot->storage.get(), std::memory_order_release);
-  // Publication point: readers that see kLive also see the fields above.
-  slot->state.store(SlotState::kLive, std::memory_order_release);
+  publish(*slot, declared_bytes, node, std::move(label), backing_bytes);
   live_count_.fetch_add(1, std::memory_order_relaxed);
-  return BufferId{index};
+  return id;
 }
 
 Status SimMachine::free(BufferId id) {
@@ -169,17 +216,28 @@ Status SimMachine::free(BufferId id) {
   if (slot == nullptr) {
     return make_error(Errc::kInvalidArgument, "invalid buffer id");
   }
-  std::lock_guard<std::mutex> lock(slot->lifecycle);
-  if (slot->state.load(std::memory_order_relaxed) != SlotState::kLive) {
-    return make_error(Errc::kInvalidArgument,
-                      "double free of buffer " + slot->label);
+  {
+    std::lock_guard<std::mutex> lock(slot->lifecycle);
+    if (slot->generation.load(std::memory_order_relaxed) != id.generation) {
+      return make_error(Errc::kInvalidArgument,
+                        "stale buffer id (its slot holds a newer buffer)");
+    }
+    if (slot->state.load(std::memory_order_relaxed) != SlotState::kLive) {
+      return make_error(Errc::kInvalidArgument,
+                        "double free of buffer " + slot->label);
+    }
+    slot->state.store(SlotState::kFreed, std::memory_order_release);
+    used_[slot->node.load(std::memory_order_relaxed)].fetch_sub(
+        slot->declared_bytes.load(std::memory_order_relaxed),
+        std::memory_order_relaxed);
+    slot->data.store(nullptr, std::memory_order_release);
+    slot->storage.reset();
+    live_count_.fetch_sub(1, std::memory_order_relaxed);
   }
-  slot->state.store(SlotState::kFreed, std::memory_order_release);
-  used_[slot->node.load(std::memory_order_relaxed)].fetch_sub(
-      slot->declared_bytes, std::memory_order_relaxed);
-  slot->data.store(nullptr, std::memory_order_release);
-  slot->storage.reset();
-  live_count_.fetch_sub(1, std::memory_order_relaxed);
+  if (id.generation < kMaxGeneration) {
+    std::lock_guard<std::mutex> guard(free_mutex_);
+    free_list_.push_back(id.index);
+  }
   return {};
 }
 
@@ -192,7 +250,8 @@ Status SimMachine::migrate(BufferId id, unsigned destination_node) {
     return make_error(Errc::kInvalidArgument, "no such destination node");
   }
   std::lock_guard<std::mutex> lock(slot->lifecycle);
-  if (slot->state.load(std::memory_order_relaxed) != SlotState::kLive) {
+  if (slot->generation.load(std::memory_order_relaxed) != id.generation ||
+      slot->state.load(std::memory_order_relaxed) != SlotState::kLive) {
     return make_error(Errc::kInvalidArgument, "migrate of freed buffer");
   }
   const unsigned source = slot->node.load(std::memory_order_relaxed);
@@ -224,62 +283,77 @@ Status SimMachine::migrate(BufferId id, unsigned destination_node) {
                       "destination node " + std::to_string(destination_node) +
                           " is offline");
   }
-  if (!reserve_capacity(destination_node, slot->declared_bytes)) {
+  const std::uint64_t declared =
+      slot->declared_bytes.load(std::memory_order_relaxed);
+  if (!reserve_capacity(destination_node, declared)) {
     telemetry_[destination_node].capacity_rejections.fetch_add(
         1, std::memory_order_relaxed);
     return make_error(Errc::kOutOfCapacity,
                       "destination node " + std::to_string(destination_node) +
-                          " cannot hold " +
-                          support::format_bytes(slot->declared_bytes));
+                          " cannot hold " + support::format_bytes(declared));
   }
-  used_[source].fetch_sub(slot->declared_bytes, std::memory_order_relaxed);
+  used_[source].fetch_sub(declared, std::memory_order_relaxed);
   slot->node.store(destination_node, std::memory_order_relaxed);
   return {};
 }
 
-namespace {
-BufferInfo invalid_buffer_info() {
-  return BufferInfo{"<invalid-buffer>", 0, 0, 0, true};
+bool SimMachine::copy_info(BufferId id, BufferInfo& out) const {
+  Slot* slot = find_slot(id);
+  if (slot == nullptr) return false;
+  std::lock_guard<std::mutex> lock(slot->lifecycle);
+  if (slot->generation.load(std::memory_order_relaxed) != id.generation) {
+    return false;
+  }
+  out.label = slot->label;
+  out.node = slot->node.load(std::memory_order_relaxed);
+  out.declared_bytes = slot->declared_bytes.load(std::memory_order_relaxed);
+  out.backing_bytes = slot->backing_bytes.load(std::memory_order_relaxed);
+  out.freed = slot->state.load(std::memory_order_relaxed) != SlotState::kLive;
+  return true;
 }
-}  // namespace
 
 BufferInfo SimMachine::info(BufferId id) const {
-  const Slot* slot = find_slot(id);
-  if (slot == nullptr) return invalid_buffer_info();
   BufferInfo snapshot;
-  snapshot.label = slot->label;
-  snapshot.node = slot->node.load(std::memory_order_relaxed);
-  snapshot.declared_bytes = slot->declared_bytes;
-  snapshot.backing_bytes = slot->backing_bytes;
-  snapshot.freed = slot->state.load(std::memory_order_acquire) == SlotState::kFreed;
+  if (!copy_info(id, snapshot)) {
+    return BufferInfo{"<invalid-buffer>", 0, 0, 0, true};
+  }
+  return snapshot;
+}
+
+Result<BufferInfo> SimMachine::info_checked(BufferId id) const {
+  BufferInfo snapshot;
+  if (!copy_info(id, snapshot)) {
+    return make_error(Errc::kInvalidArgument, "invalid buffer id");
+  }
   return snapshot;
 }
 
 BufferResidency SimMachine::residency(BufferId id) const {
   const Slot* slot = find_slot(id);
   if (slot == nullptr) return {};
-  return BufferResidency{
-      slot->node.load(std::memory_order_relaxed), slot->declared_bytes,
-      slot->state.load(std::memory_order_acquire) == SlotState::kFreed};
-}
-
-Result<BufferInfo> SimMachine::info_checked(BufferId id) const {
-  if (find_slot(id) == nullptr) {
-    return make_error(Errc::kInvalidArgument, "invalid buffer id");
-  }
-  return info(id);
-}
-
-std::byte* SimMachine::backing(BufferId id) {
-  Slot* slot = find_slot(id);
-  if (slot == nullptr) return nullptr;
-  return slot->data.load(std::memory_order_acquire);
+  BufferResidency residency;
+  const bool current = read_current(*slot, id.generation, [&](const Slot& s) {
+    residency.freed =
+        s.state.load(std::memory_order_acquire) != SlotState::kLive;
+    residency.node = s.node.load(std::memory_order_relaxed);
+    residency.declared_bytes =
+        s.declared_bytes.load(std::memory_order_relaxed);
+  });
+  return current ? residency : BufferResidency{};
 }
 
 const std::byte* SimMachine::backing(BufferId id) const {
   const Slot* slot = find_slot(id);
   if (slot == nullptr) return nullptr;
-  return slot->data.load(std::memory_order_acquire);
+  const std::byte* data = nullptr;
+  const bool current = read_current(*slot, id.generation, [&](const Slot& s) {
+    data = s.data.load(std::memory_order_acquire);
+  });
+  return current ? data : nullptr;
+}
+
+std::byte* SimMachine::backing(BufferId id) {
+  return const_cast<std::byte*>(std::as_const(*this).backing(id));
 }
 
 std::uint64_t SimMachine::capacity_bytes(unsigned node) const {
@@ -473,14 +547,124 @@ std::vector<BufferId> SimMachine::live_buffers_on(unsigned node) const {
 void SimMachine::live_buffers_on(unsigned node,
                                  std::vector<BufferId>& out) const {
   out.clear();
+  collect_live(&node, out);
+}
+
+std::vector<BufferId> SimMachine::live_buffers() const {
+  std::vector<BufferId> live;
+  collect_live(nullptr, live);
+  return live;
+}
+
+void SimMachine::collect_live(const unsigned* node,
+                              std::vector<BufferId>& out) const {
   const std::uint32_t total = next_slot_.load(std::memory_order_acquire);
   for (std::uint32_t index = 0; index < total; ++index) {
     const Slot* slot = find_slot(BufferId{index});
     if (slot == nullptr) continue;
-    if (slot->state.load(std::memory_order_acquire) != SlotState::kLive) continue;
-    if (slot->node.load(std::memory_order_relaxed) != node) continue;
-    out.push_back(BufferId{index});
+    const std::uint32_t generation =
+        slot->generation.load(std::memory_order_acquire);
+    bool wanted = false;
+    const bool current = read_current(*slot, generation, [&](const Slot& s) {
+      wanted = s.state.load(std::memory_order_acquire) == SlotState::kLive &&
+               (node == nullptr ||
+                s.node.load(std::memory_order_relaxed) == *node);
+    });
+    if (current && wanted) out.push_back(BufferId{index, generation});
   }
+}
+
+std::vector<BufferId> SimMachine::free_slots() const {
+  std::vector<std::uint32_t> indices;
+  {
+    std::lock_guard<std::mutex> guard(free_mutex_);
+    indices.assign(free_list_.rbegin(), free_list_.rend());
+  }
+  std::vector<BufferId> slots;
+  slots.reserve(indices.size());
+  for (std::uint32_t index : indices) {
+    const Slot* slot = find_slot(BufferId{index});
+    slots.push_back(BufferId{
+        index, slot->generation.load(std::memory_order_acquire)});
+  }
+  return slots;
+}
+
+Status SimMachine::restore_buffer_table(
+    std::uint32_t slot_count, const std::vector<RestoredBuffer>& live,
+    const std::vector<BufferId>& free_slots) {
+  if (live_count_.load(std::memory_order_relaxed) != 0) {
+    return make_error(Errc::kInvalidArgument,
+                      "buffer table restore needs a machine with no live "
+                      "buffer");
+  }
+  if (slot_count < next_slot_.load(std::memory_order_acquire) ||
+      slot_count > kMaxChunks * kSlotsPerChunk) {
+    return make_error(Errc::kInvalidArgument,
+                      "restored buffer table has " +
+                          std::to_string(slot_count) + " slot(s), machine has " +
+                          std::to_string(total_buffer_count()));
+  }
+  // Each slot named at most once, below the watermark, with a generation
+  // that a live buffer or a reusable free slot can hold.
+  std::vector<std::uint32_t> named;
+  named.reserve(live.size() + free_slots.size());
+  for (const RestoredBuffer& buffer : live) {
+    if (buffer.id.index >= slot_count ||
+        buffer.id.generation > kMaxGeneration || buffer.node >= node_count_ ||
+        buffer.declared_bytes == 0) {
+      return make_error(Errc::kInvalidArgument,
+                        "bad restored buffer '" + buffer.label + "'");
+    }
+    named.push_back(buffer.id.index);
+  }
+  for (BufferId id : free_slots) {
+    if (id.index >= slot_count || id.generation >= kMaxGeneration) {
+      return make_error(Errc::kInvalidArgument,
+                        "bad restored free slot " + std::to_string(id.index));
+    }
+    named.push_back(id.index);
+  }
+  std::sort(named.begin(), named.end());
+  if (std::adjacent_find(named.begin(), named.end()) != named.end()) {
+    return make_error(Errc::kInvalidArgument,
+                      "restored buffer table names a slot twice");
+  }
+
+  // A slot no record names stays retired: freed (or never published) and
+  // off the free list.
+  next_slot_.store(slot_count, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> guard(free_mutex_);
+    free_list_.clear();
+  }
+  for (const RestoredBuffer& buffer : live) {
+    if (!reserve_capacity(buffer.node, buffer.declared_bytes)) {
+      return make_error(Errc::kOutOfCapacity,
+                        "node " + std::to_string(buffer.node) +
+                            " cannot hold restored buffer '" + buffer.label +
+                            "'");
+    }
+    Slot* slot = slot_at(buffer.id.index);
+    std::lock_guard<std::mutex> lock(slot->lifecycle);
+    slot->generation.store(buffer.id.generation, std::memory_order_release);
+    std::atomic_thread_fence(std::memory_order_release);
+    publish(*slot, buffer.declared_bytes, buffer.node, buffer.label,
+            buffer.backing_bytes);
+    live_count_.fetch_add(1, std::memory_order_relaxed);
+  }
+  // free_slots() lists the next reuse first; the free list reuses back().
+  std::lock_guard<std::mutex> guard(free_mutex_);
+  for (auto it = free_slots.rbegin(); it != free_slots.rend(); ++it) {
+    Slot* slot = slot_at(it->index);
+    {
+      std::lock_guard<std::mutex> lock(slot->lifecycle);
+      slot->generation.store(it->generation, std::memory_order_release);
+      slot->state.store(SlotState::kFreed, std::memory_order_release);
+    }
+    free_list_.push_back(it->index);
+  }
+  return {};
 }
 
 }  // namespace hetmem::sim

@@ -6,43 +6,47 @@ namespace hetmem::sim {
 
 ThreadCtx::ThreadCtx(std::size_t node_count) : node_traffic_(node_count) {}
 
-BufferTraffic& ThreadCtx::buffer_slot(BufferId buffer) {
+BufferTraffic& ThreadCtx::entry(BufferId buffer) {
   assert(buffer.valid());
   if (buffer_traffic_.size() <= buffer.index) {
     buffer_traffic_.resize(buffer.index + 1);
+    generations_.resize(buffer.index + 1, 0);
     touched_mark_.resize(buffer.index + 1, 0);
   }
-  return buffer_traffic_[buffer.index];
-}
-
-void ThreadCtx::touch(BufferId buffer) {
-  buffer_slot(buffer);  // ensure marks sized
+  std::uint32_t& generation = generations_[buffer.index];
+  if (generation != buffer.generation) {
+    if (buffer.generation < generation) {
+      stale_ = BufferTraffic{};
+      return stale_;
+    }
+    generation = buffer.generation;
+    buffer_traffic_[buffer.index] = BufferTraffic{};
+  }
   if (touched_mark_[buffer.index] == 0) {
     touched_mark_[buffer.index] = 1;
     touched_.push_back(buffer.index);
   }
+  return buffer_traffic_[buffer.index];
 }
 
 void ThreadCtx::record_seq_read(unsigned node, BufferId buffer,
                                 double program_bytes, double memory_fraction) {
   assert(node < node_traffic_.size());
   node_traffic_[node].seq_read_bytes += program_bytes * memory_fraction;
-  BufferTraffic& bt = buffer_slot(buffer);
+  BufferTraffic& bt = entry(buffer);
   bt.reads += program_bytes / kLineBytes;
   bt.llc_misses += program_bytes * memory_fraction / kLineBytes;
   bt.memory_bytes += program_bytes * memory_fraction;
-  touch(buffer);
 }
 
 void ThreadCtx::record_seq_write(unsigned node, BufferId buffer,
                                  double program_bytes, double memory_fraction) {
   assert(node < node_traffic_.size());
   node_traffic_[node].seq_write_bytes += program_bytes * memory_fraction;
-  BufferTraffic& bt = buffer_slot(buffer);
+  BufferTraffic& bt = entry(buffer);
   bt.writes += program_bytes / kLineBytes;
   bt.llc_misses += program_bytes * memory_fraction / kLineBytes;
   bt.memory_bytes += program_bytes * memory_fraction;
-  touch(buffer);
 }
 
 void ThreadCtx::record_rand_read(unsigned node, BufferId buffer, double accesses,
@@ -52,13 +56,12 @@ void ThreadCtx::record_rand_read(unsigned node, BufferId buffer, double accesses
   NodeTraffic& nt = node_traffic_[node];
   nt.rand_read_accesses += misses;
   nt.rand_read_bytes += misses * kLineBytes;
-  BufferTraffic& bt = buffer_slot(buffer);
+  BufferTraffic& bt = entry(buffer);
   bt.reads += accesses;
   bt.llc_misses += misses;
   bt.memory_bytes += misses * kLineBytes;
   bt.random_accesses += accesses;
   bt.random_misses += misses;
-  touch(buffer);
 }
 
 void ThreadCtx::record_rand_write(unsigned node, BufferId buffer, double accesses,
@@ -68,13 +71,12 @@ void ThreadCtx::record_rand_write(unsigned node, BufferId buffer, double accesse
   NodeTraffic& nt = node_traffic_[node];
   nt.rand_write_accesses += misses;
   nt.rand_write_bytes += misses * kLineBytes;
-  BufferTraffic& bt = buffer_slot(buffer);
+  BufferTraffic& bt = entry(buffer);
   bt.writes += accesses;
   bt.llc_misses += misses;
   bt.memory_bytes += misses * kLineBytes;
   bt.random_accesses += accesses;
   bt.random_misses += misses;
-  touch(buffer);
 }
 
 void ThreadCtx::reset_phase() {

@@ -92,10 +92,14 @@ void append_bytes(std::string& out, std::uint64_t bytes) {
       return;
     }
   }
-  char digits[24];
-  const char* end = std::to_chars(digits, std::end(digits), bytes).ptr;
-  out.append(digits, static_cast<std::size_t>(end - digits));
+  append_decimal(out, bytes);
   out += 'B';
+}
+
+void append_decimal(std::string& out, std::uint64_t value) {
+  char digits[24];
+  const char* end = std::to_chars(digits, std::end(digits), value).ptr;
+  out.append(digits, static_cast<std::size_t>(end - digits));
 }
 
 std::string format_bytes(std::uint64_t bytes) {

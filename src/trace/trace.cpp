@@ -93,7 +93,7 @@ std::string serialize(const Trace& trace) {
     record.line("epoch", epoch.index, epoch.duration_ns, epoch.sample_period);
     for (const runtime::EpochSample& sample : epoch.samples) {
       record.begin("s");
-      record(sample.buffer.index);
+      record(sample.buffer.packed());
       sim::traffic_fields(record, sample.traffic);
       record.end();
     }
@@ -137,7 +137,12 @@ Result<Trace> parse(std::string_view text) {
     } else if (tag == "s") {
       if (epoch == nullptr) return lines.error("sample before any epoch");
       runtime::EpochSample& sample = epoch->samples.emplace_back();
-      if (!in(sample.buffer.index)) return lines.error("bad buffer id");
+      std::uint64_t packed = 0;
+      if (!in(packed)) return lines.error("bad buffer id");
+      sample.buffer = sim::BufferId::unpack(packed);
+      if (sample.buffer.generation > sim::SimMachine::kMaxGeneration) {
+        return lines.error("bad buffer id");
+      }
       if (!sim::traffic_fields(in, sample.traffic) || !in.at_end()) {
         return lines.error("bad sample counter");
       }
@@ -168,10 +173,9 @@ void TraceRecorder::record_epoch(const sim::ExecutionContext& exec) {
   // replaying sampler consumes its rounding stream in lockstep with the
   // live one.
   exec.read_traffic_deltas(
-      reader_, [&](std::uint32_t index, const sim::BufferTraffic& delta) {
+      reader_, [&](sim::BufferId buffer, const sim::BufferTraffic& delta) {
         epoch.total_memory_bytes += delta.memory_bytes;
-        epoch.samples.push_back(
-            runtime::EpochSample{sim::BufferId{index}, delta});
+        epoch.samples.push_back(runtime::EpochSample{buffer, delta});
       });
   snapshot_clock_ns_ = exec.clock_ns();
   phases_since_epoch_ = 0;

@@ -310,7 +310,7 @@ TEST_F(CapiTest, SnapshotSaveRestoreLifecycle) {
   ASSERT_GE(roaming, 0);
   double cost = 0.0;
   ASSERT_EQ(hetmem_migrate(ctx_, roaming, 2, &cost), HETMEM_SUCCESS);
-  // A freed slot, so the snapshot's index watermark covers a tombstone.
+  // A freed slot, so the snapshot carries a free-list entry.
   const int64_t gone = hetmem_alloc(ctx_, 1 << 20, HETMEM_ATTR_LATENCY,
                                     kPackage0, HETMEM_POLICY_RANKED_FALLBACK,
                                     "gone");

@@ -171,6 +171,94 @@ TEST(MachineConcurrency, RacingFreesSucceedExactlyOnce) {
   }
 }
 
+// Stale readers versus slot reuse: one thread keeps freeing a buffer and
+// allocating the next, which takes the same slot under the next generation
+// with a different size, node and label; readers keep querying handles
+// they saw published, some of them long dead. A read must describe the
+// handle's own buffer or refuse it as stale, never mix in the buffer that
+// reused the slot.
+TEST(MachineConcurrency, StaleReadersNeverSeeTheBufferThatReusedTheirSlot) {
+  sim::SimMachine machine(topo::xeon_clx_1lm());
+  constexpr std::uint32_t kGenerations = 3000;
+  constexpr unsigned kReaders = 3;
+  auto bytes_of = [](std::uint32_t generation) {
+    return std::uint64_t{4096} * (generation % 7 + 1);
+  };
+  auto node_of = [](std::uint32_t generation) { return generation % 2; };
+  auto label_of = [](std::uint32_t generation) {
+    std::string label = "g";
+    label += std::to_string(generation);
+    return label;
+  };
+  std::atomic<std::uint64_t> published{sim::BufferId{}.packed()};
+  std::atomic<bool> done{false};
+  std::atomic<unsigned> mixed{0};
+
+  std::vector<std::thread> readers;
+  for (unsigned r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      sim::BufferId held;  // an older handle, re-read after it went stale
+      while (!done.load(std::memory_order_acquire)) {
+        const sim::BufferId fresh =
+            sim::BufferId::unpack(published.load(std::memory_order_acquire));
+        if (!fresh.valid()) continue;
+        for (const sim::BufferId id : {fresh, held}) {
+          if (!id.valid()) continue;
+          const sim::BufferResidency residency = machine.residency(id);
+          if (!residency.freed &&
+              (residency.declared_bytes != bytes_of(id.generation) ||
+               residency.node != node_of(id.generation))) {
+            mixed.fetch_add(1);
+          }
+          const sim::BufferInfo info = machine.info(id);
+          if (info.label != "<invalid-buffer>" &&
+              (info.label != label_of(id.generation) ||
+               info.declared_bytes != bytes_of(id.generation))) {
+            mixed.fetch_add(1);
+          }
+          auto checked = machine.info_checked(id);
+          if (checked.ok() && checked->label != label_of(id.generation)) {
+            mixed.fetch_add(1);
+          }
+          // Migrating a buffer to its own node is a no-op; a stale handle
+          // is refused and moves nothing.
+          const support::Status moved =
+              machine.migrate(id, node_of(id.generation));
+          if (!moved.ok() &&
+              moved.error().code != support::Errc::kInvalidArgument) {
+            mixed.fetch_add(1);
+          }
+          (void)machine.backing(id);
+        }
+        if (fresh.generation % 64 == 0) held = fresh;
+      }
+    });
+  }
+
+  sim::BufferId previous;
+  for (std::uint32_t generation = 0; generation < kGenerations; ++generation) {
+    auto id = machine.allocate(bytes_of(generation), node_of(generation),
+                               label_of(generation), 64);
+    ASSERT_TRUE(id.ok());
+    ASSERT_EQ(*id, (sim::BufferId{0, generation}));
+    published.store(id->packed(), std::memory_order_release);
+    if (previous.valid()) {
+      EXPECT_FALSE(machine.free(previous).ok());
+      EXPECT_FALSE(machine.migrate(previous, 1).ok());
+    }
+    std::this_thread::yield();
+    ASSERT_TRUE(machine.free(*id).ok());
+    previous = *id;
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& reader : readers) reader.join();
+
+  EXPECT_EQ(mixed.load(), 0u);
+  EXPECT_EQ(machine.total_buffer_count(), 1u);
+  EXPECT_EQ(machine.live_buffer_count(), 0u);
+  EXPECT_EQ(machine.used_bytes(0) + machine.used_bytes(1), 0u);
+}
+
 // Racing migrate vs free of the same buffer: every outcome must be
 // well-defined — the buffer ends freed, capacity lands at zero everywhere,
 // and the migrate either completed first or failed cleanly.

@@ -165,7 +165,7 @@ TEST(SnapshotFormatTest, SerializeParseIsAFixedPoint) {
   const recover::Snapshot snap =
       rich_snapshot(scenario, faults, policy, supervisor);
   const std::string text = recover::serialize(snap);
-  EXPECT_EQ(text.rfind("hetmem-snap/1\n", 0), 0u);
+  EXPECT_EQ(text.rfind("hetmem-snap/2\n", 0), 0u);
 
   auto parsed = recover::parse(text);
   ASSERT_TRUE(parsed.ok()) << parsed.error().message;
@@ -180,10 +180,11 @@ TEST(SnapshotFormatTest, SerializeParseIsAFixedPoint) {
 }
 
 /// rich_snapshot's setup plus a tenant registry (one live tenant, one
-/// deregistered tenant that still owns a buffer), a reservation, a health
-/// monitor and a power governor, driven through TraceReplayer, which never
-/// times the sampler on the host clock. The text fills all 24 record types
-/// and is the same on every run; empty when the setup fails.
+/// deregistered tenant that still owns a buffer), a freed buffer, a
+/// reservation, a health monitor and a power governor, driven through
+/// TraceReplayer, which never times the sampler on the host clock. The text
+/// fills all 25 record types and is the same on every run; empty when the
+/// setup fails.
 std::string pinned_snapshot_text() {
   Scenario scenario;
   tenant::TenantRegistry tenants;
@@ -204,6 +205,13 @@ std::string pinned_snapshot_text() {
   request.tenant = *doomed;
   if (!scenario.allocator.mem_alloc(request).ok()) return {};
   if (!tenants.deregister_tenant(*doomed).ok()) return {};
+  request.bytes = 16 * kMiB;
+  request.label = "released";
+  request.tenant = nullptr;
+  auto released = scenario.allocator.mem_alloc(request);
+  if (!released.ok() || !scenario.allocator.mem_free(released->buffer).ok()) {
+    return {};
+  }
   if (!scenario.allocator.reserve(scenario.fast, 8 * kMiB).ok()) return {};
 
   fault::FaultInjector faults(42);
@@ -248,17 +256,17 @@ TEST(SnapshotFormatTest, SerializedSnapshotMatchesRecordedDigest) {
   std::set<std::string> tags;
   for (const std::string& line : lines_of(text)) tags.insert(first_word(line));
   const std::set<std::string> want = {
-      "hetmem-snap/1", "preset",  "machine",    "node",   "npower",
-      "buffers",       "buffer",  "tenant",     "tnext",  "astats",
-      "reserved",      "sampler", "period",     "classifier",
-      "cstate",        "engine",  "dlog",       "health", "hnode",
-      "governor",      "gstreak", "faults",     "fsite",  "breaker",
+      "hetmem-snap/2", "preset",  "machine",  "node",       "npower",
+      "buffers",       "buffer",  "free",     "tenant",     "tnext",
+      "astats",        "reserved", "sampler", "period",     "classifier",
+      "cstate",        "engine",  "dlog",     "health",     "hnode",
+      "governor",      "gstreak", "faults",   "fsite",      "breaker",
       "watchdog",      "checksum", "end"};
   EXPECT_EQ(tags, want);
   // Pinned bytes: any change to how a record is written moves them, and a
   // wire-format change needs a new `hetmem-snap` version.
-  EXPECT_EQ(text.size(), 2944u);
-  EXPECT_EQ(support::fnv1a64(text), 0xd90ef77f980a9defull)
+  EXPECT_EQ(text.size(), 2961u);
+  EXPECT_EQ(support::fnv1a64(text), 0xb01c0e8b47f8484bull)
       << std::hex << support::fnv1a64(text);
 }
 
@@ -278,8 +286,12 @@ TEST(SnapshotRejectionTest, EveryNumericFieldAndIndexIsChecked) {
   const std::string text = pinned_snapshot_text();
   ASSERT_FALSE(text.empty());
   const std::vector<std::string> lines = lines_of(text);
-  const std::set<std::string> indexed = {"node",   "npower", "buffer", "period",
+  const std::set<std::string> indexed = {"node",   "npower", "period",
                                          "cstate", "hnode",  "gstreak"};
+  // `buffer` and `free` records are keyed by slot, not by position: a slot
+  // at or past the `buffers` watermark is refused instead.
+  const std::string watermark =
+      lines[first_tagged(lines, "buffers")].substr(sizeof("buffers"));
   std::size_t cases = 0;
   auto expect_malformed = [&](std::size_t at, const std::string& line) {
     auto parsed = recover::parse(with_line(lines, at, line));
@@ -305,12 +317,15 @@ TEST(SnapshotRejectionTest, EveryNumericFieldAndIndexIsChecked) {
       const std::uint64_t index = std::stoull(lines[at].substr(tag.size()));
       expect_malformed(at, with_field(lines[at], 1, std::to_string(index + 1)));
     }
+    if (tag == "buffer" || tag == "free") {
+      expect_malformed(at, with_field(lines[at], 1, watermark));
+    }
     if (text_tailed.count(tag) == 0 && trailed.insert(tag).second) {
       expect_malformed(at, lines[at] + " 0");
     }
   }
   EXPECT_GT(cases, 300u);
-  EXPECT_EQ(trailed.size(), 19u);
+  EXPECT_EQ(trailed.size(), 20u);
 }
 
 /// Rewrites the checksum line to match the (possibly damaged) payload, so
@@ -356,13 +371,14 @@ TEST(SnapshotRejectionTest, RangeChecksBoolsIntegersAndSigns) {
       {"node", 8, "2"},
       {"node", 9, "2"},
       {"npower", 3, "2"},
-      {"buffer", 5, "2"},
       {"tenant", 14, "2"},
       {"cstate", 2, "2"},
       {"fsite", 12, "2"},
       // integers too large for their 32-bit field
       {"buffer", 2, "4294967296"},
       {"buffer", 6, "4294967296"},
+      {"free", 2, "4294967296"},
+      {"cstate", 12, "4294967296"},
       {"tenant", 1, "4294967296"},
       {"tnext", 1, "4294967296"},
       {"sampler", 6, "4294967296"},
@@ -445,7 +461,7 @@ TEST(SnapshotFormatTest, RejectsTruncatedBitFlippedAndVersionBumpedFiles) {
 
   // Empty and foreign headers.
   EXPECT_FALSE(recover::parse("").ok());
-  auto bumped = recover::parse("hetmem-snap/2\nend\n");
+  auto bumped = recover::parse("hetmem-snap/3\nend\n");
   ASSERT_FALSE(bumped.ok());
   EXPECT_NE(bumped.error().message.find("unsupported snapshot header"),
             std::string::npos);

@@ -53,8 +53,8 @@ void expect_streams_bitwise_equal(const DeltaStream& a, const DeltaStream& b) {
 DeltaStream read_deltas(const ExecutionContext& exec, TelemetryReader& reader) {
   DeltaStream stream;
   exec.read_traffic_deltas(
-      reader, [&stream](std::uint32_t buffer, const BufferTraffic& delta) {
-        stream.emplace_back(buffer, delta);
+      reader, [&stream](BufferId buffer, const BufferTraffic& delta) {
+        stream.emplace_back(buffer.index, delta);
       });
   return stream;
 }
@@ -199,13 +199,13 @@ TEST(TelemetryReaders, IndependentCadencesSeeTheSameTotals) {
                      ctx.record_seq_read(0, *buffer, 8.0 * kMiB, 1.0);
                    });
     exec.read_traffic_deltas(
-        every_phase, [&](std::uint32_t, const BufferTraffic& delta) {
+        every_phase, [&](BufferId, const BufferTraffic& delta) {
           frequent_total += delta.memory_bytes;
         });
   }
   double lump_total = 0.0;
   exec.read_traffic_deltas(at_end,
-                           [&](std::uint32_t, const BufferTraffic& delta) {
+                           [&](BufferId, const BufferTraffic& delta) {
                              lump_total += delta.memory_bytes;
                            });
   const auto merged = exec.merged_buffer_traffic();

@@ -530,7 +530,9 @@ TEST(TraceRejectionTest, EveryNumericFieldIsChecked) {
 
 TEST(TraceRejectionTest, RangeChecksIntegersAndSigns) {
   // Inputs the parser accepted before its fields went through
-  // support::FieldReader: strtoull took signs and cut ids to 32 bits.
+  // support::FieldReader: strtoull took signs and cut ids to 32 bits. A
+  // buffer id is 64 bits now (generation << 32 | index), and a generation
+  // past SimMachine::kMaxGeneration names no buffer.
   const std::vector<std::string> lines = lines_of(recorded_trace_text());
   struct Case {
     const char* tag;
@@ -543,7 +545,8 @@ TEST(TraceRejectionTest, RangeChecksIntegersAndSigns) {
       {"threads", 1, "-1", "bad thread count"},
       {"phases_per_epoch", 1, "+1", "bad phases_per_epoch"},
       {"epoch", 1, "-1", "bad epoch line"},
-      {"s", 1, "4294967296", "bad buffer id"},
+      {"s", 1, "18446744073709551616", "bad buffer id"},
+      {"s", 1, "9223372036854775808", "bad buffer id"},
   };
   for (const Case& c : cases) {
     const std::size_t at = first_tagged(lines, c.tag);
